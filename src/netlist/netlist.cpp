@@ -178,12 +178,12 @@ GateId Netlist::merge(const Netlist& other, const std::string& prefix) {
 }
 
 GateId Netlist::findInput(std::string_view name) const {
-  auto it = inputByName_.find(std::string(name));
+  auto it = inputByName_.find(name);
   return it == inputByName_.end() ? kNoGate : it->second;
 }
 
 GateId Netlist::findOutput(std::string_view name) const {
-  auto it = outputByName_.find(std::string(name));
+  auto it = outputByName_.find(name);
   return it == outputByName_.end() ? kNoGate : it->second;
 }
 

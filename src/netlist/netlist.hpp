@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -46,6 +47,20 @@ bool isCombinational(GateKind k);
 
 using GateId = std::uint32_t;
 constexpr GateId kNoGate = 0xffffffffu;
+
+/// Transparent string hash: lets a std::string-keyed unordered container
+/// (with std::equal_to<>) be searched by std::string_view without building
+/// a temporary std::string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// Name -> value map searchable by std::string_view.
+template <typename V>
+using NameMap = std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 struct Gate {
   GateKind kind;
@@ -136,8 +151,8 @@ class Netlist {
   std::vector<GateId> dffs_;
   GateId const0_ = kNoGate;
   GateId const1_ = kNoGate;
-  std::unordered_map<std::string, GateId> inputByName_;
-  std::unordered_map<std::string, GateId> outputByName_;
+  NameMap<GateId> inputByName_;
+  NameMap<GateId> outputByName_;
 };
 
 }  // namespace vfpga

@@ -20,6 +20,11 @@ bool JsonValue::has(const std::string& key) const {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. Every document the layer
+/// renders nests a handful of levels; the bound keeps hostile input from
+/// exhausting the stack of this recursive-descent parser.
+constexpr int kMaxNesting = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -34,6 +39,7 @@ class Parser {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around pos_
 
   [[noreturn]] void fail(const std::string& why) const {
     throw JsonError(why + " at offset " + std::to_string(pos_));
@@ -74,8 +80,16 @@ class Parser {
   JsonValue parseValue() {
     skipWs();
     switch (peek()) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxNesting) {
+          fail("nesting deeper than " + std::to_string(kMaxNesting));
+        }
+        ++depth_;
+        JsonValue v = peek() == '{' ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue(parseString());
       case 't':
         if (consumeLiteral("true")) return JsonValue(true);

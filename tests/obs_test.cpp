@@ -183,6 +183,37 @@ TEST(ChromeTrace, ValidatorRejectsPartialOverlap) {
   EXPECT_FALSE(problems.empty());
 }
 
+TEST(JsonParse, DeepNestingIsRejectedWithADiagnostic) {
+  // Unbounded recursion used to overflow the stack on input like this.
+  const std::string deep(100000, '[');
+  try {
+    (void)obs::JsonValue::parse(deep);
+    FAIL() << "100k nested '[' parsed";
+  } catch (const obs::JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+  // Nesting at the bound still parses; one level more does not.
+  const std::string ok = std::string(256, '[') + std::string(256, ']');
+  EXPECT_TRUE(obs::JsonValue::parse(ok).isArray());
+  const std::string over = std::string(257, '[') + std::string(257, ']');
+  EXPECT_THROW((void)obs::JsonValue::parse(over), obs::JsonError);
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(300, '}');
+  EXPECT_THROW((void)obs::JsonValue::parse(objects), obs::JsonError);
+}
+
+TEST(JsonParse, CommittedBenchBaselinesStillParse) {
+  std::ifstream in(std::string(VFPGA_SOURCE_DIR) + "/bench/baselines.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  const obs::JsonValue doc = obs::JsonValue::parse(text.str());
+  EXPECT_FALSE(doc.at("metrics").asObject().empty());
+}
+
 TEST(Prometheus, RoundTripPreservesEveryScalar) {
   obs::MetricsRegistry reg;
   reg.counter("vfpga_rt_total", {{"policy", "x"}}, "a counter").inc(42);

@@ -1,8 +1,9 @@
 #include "analysis/diagnostics.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace vfpga::analysis {
 
@@ -295,25 +296,6 @@ constexpr RuleInfo kRules[] = {
 
 std::span<const RuleInfo> registry() { return kRules; }
 
-void appendEscapedJson(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 std::span<const RuleInfo> allRules() { return registry(); }
@@ -367,23 +349,23 @@ std::string Report::renderJson() const {
     if (!first) out += ",";
     first = false;
     out += "{\"rule\":\"";
-    appendEscapedJson(out, d.rule);
+    out += obs::jsonEscape(d.rule);
     out += "\",\"severity\":\"";
     out += severityName(d.severity);
     out += "\",\"message\":\"";
-    appendEscapedJson(out, d.message);
+    out += obs::jsonEscape(d.message);
     out += "\",\"location\":{\"kind\":\"";
     out += locationKindName(d.location.kind);
     out += "\",\"index\":" + std::to_string(d.location.index);
     out += ",\"x\":" + std::to_string(d.location.x);
     out += ",\"y\":" + std::to_string(d.location.y);
     out += ",\"detail\":\"";
-    appendEscapedJson(out, d.location.detail);
+    out += obs::jsonEscape(d.location.detail);
     out += "\"},\"notes\":[";
     for (std::size_t i = 0; i < d.notes.size(); ++i) {
       if (i) out += ",";
       out += "\"";
-      appendEscapedJson(out, d.notes[i]);
+      out += obs::jsonEscape(d.notes[i]);
       out += "\"";
     }
     out += "]}";

@@ -3,27 +3,10 @@
 #include <optional>
 #include <stdexcept>
 
+#include "sim/hash.hpp"
 #include "sim/parallel.hpp"
 
 namespace vfpga::cluster {
-
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 OsOptions DeviceNode::withFaults(OsOptions options, fault::FaultPlan* plan,
                                  SimDuration scrubInterval) {
@@ -132,10 +115,10 @@ FabricReplayResult DevicePool::replayFabrics(const FabricReplaySpec& spec) {
 
         FabricReplayResult::PerDevice& out = result.devices[d];
         out.device = node.name();
-        std::uint64_t h = 0xcbf29ce484222325ull;
+        std::uint64_t h = hash::kFnvOffset;
         for (std::uint64_t cyc = 0; cyc < spec.cycles; ++cyc) {
           for (std::size_t pos = 0; pos < inputSlots.size(); ++pos) {
-            const std::uint64_t w = splitmix64(
+            const std::uint64_t w = hash::splitmix64(
                 spec.seed ^ 0xd1342543de82ef95ull * (cyc + 1) ^
                 0x9e6c63d0876a9a47ull * (d + 1) ^ (pos >> 6));
             dev.setPadSlotInput(inputSlots[pos], (w >> (pos & 63)) & 1);
@@ -145,11 +128,11 @@ FabricReplayResult DevicePool::replayFabrics(const FabricReplaySpec& spec) {
           for (std::size_t i = 0; i < outSlots.size(); ++i) {
             if (dev.padSlotOutput(outSlots[i])) outs |= 1ull << (i & 63);
             if ((i & 63) == 63) {
-              h = fnv1a(h, outs);
+              h = hash::fnv1aU64(h, outs);
               outs = 0;
             }
           }
-          h = fnv1a(h, outs);
+          h = hash::fnv1aU64(h, outs);
           dev.tick();
           const bool syncPoint =
               (spec.syncEvery != 0 && (cyc + 1) % spec.syncEvery == 0) ||
@@ -160,11 +143,11 @@ FabricReplayResult DevicePool::replayFabrics(const FabricReplaySpec& spec) {
             for (std::size_t i = 0; i < ff.size(); ++i) {
               if (ff[i]) word |= 1ull << (i & 63);
               if ((i & 63) == 63) {
-                h = fnv1a(h, word);
+                h = hash::fnv1aU64(h, word);
                 word = 0;
               }
             }
-            h = fnv1a(h, word);
+            h = hash::fnv1aU64(h, word);
             ++out.syncPoints;
           }
         }
@@ -174,9 +157,9 @@ FabricReplayResult DevicePool::replayFabrics(const FabricReplaySpec& spec) {
       },
       spec.threads == 0 ? 1 : spec.threads);
 
-  std::uint64_t merged = 0xcbf29ce484222325ull;
+  std::uint64_t merged = hash::kFnvOffset;
   for (const FabricReplayResult::PerDevice& pd : result.devices) {
-    merged = fnv1a(merged, pd.digest);
+    merged = hash::fnv1aU64(merged, pd.digest);
   }
   result.mergedDigest = merged;
   return result;

@@ -5,37 +5,27 @@
 
 namespace vfpga {
 
-std::uint16_t crc16Bits(std::span<const std::uint8_t> bits) {
-  // CRC-16/CCITT-FALSE bit-at-a-time over the 0/1 byte stream.
-  std::uint16_t crc = 0xFFFF;
-  for (std::uint8_t b : bits) {
-    const std::uint16_t in = (b != 0) ? 1 : 0;
-    const std::uint16_t fb = ((crc >> 15) & 1) ^ in;
-    crc = static_cast<std::uint16_t>(crc << 1);
-    if (fb) crc ^= 0x1021;
+std::uint16_t crc16Bits(std::span<const std::uint8_t> bits,
+                        std::uint16_t crc) {
+  for (const std::uint8_t b : bits) crc = crc16Step(crc, b != 0);
+  return crc;
+}
+
+std::uint16_t crc16Bytes(std::span<const std::uint8_t> bytes) {
+  std::uint16_t crc = kCrc16Init;
+  for (const std::uint8_t b : bytes) {
+    for (int i = 7; i >= 0; --i) crc = crc16Step(crc, ((b >> i) & 1) != 0);
   }
   return crc;
 }
 
-void Bitstream::sealCrc() {
-  std::vector<std::uint8_t> all;
-  all.reserve(bitCount());
-  for (const Frame& f : frames) {
-    all.insert(all.end(), f.payload.begin(), f.payload.end());
-  }
-  crc = crc16Bits(all);
-}
-
-bool Bitstream::crcOk() const {
-  std::vector<std::uint8_t> all;
-  all.reserve(bitCount());
-  for (const Frame& f : frames) {
-    all.insert(all.end(), f.payload.begin(), f.payload.end());
-  }
-  return crc == crc16Bits(all);
-}
-
 namespace {
+
+std::uint16_t payloadCrc(const std::vector<Frame>& frames) {
+  std::uint16_t crc = kCrc16Init;
+  for (const Frame& f : frames) crc = crc16Bits(f.payload, crc);
+  return crc;
+}
 
 Frame extractFrame(const ConfigImage& image, std::uint32_t frameBits,
                    std::uint32_t id) {
@@ -53,6 +43,10 @@ Frame extractFrame(const ConfigImage& image, std::uint32_t frameBits,
 }
 
 }  // namespace
+
+void Bitstream::sealCrc() { crc = payloadCrc(frames); }
+
+bool Bitstream::crcOk() const { return crc == payloadCrc(frames); }
 
 Bitstream makeFullBitstream(const ConfigImage& image,
                             std::uint32_t frameBits) {

@@ -14,8 +14,30 @@
 
 namespace vfpga {
 
-/// CRC-16/CCITT over a bit sequence (used to detect corrupted downloads).
-std::uint16_t crc16Bits(std::span<const std::uint8_t> bits);
+// ---- CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, MSB first) -----------
+// The one CRC of the project: configuration downloads, readback scrubbing,
+// saved FF state and durable checkpoints all build on crc16Step.
+
+inline constexpr std::uint16_t kCrc16Init = 0xFFFF;
+
+/// Shifts one input bit into the CRC register.
+constexpr std::uint16_t crc16Step(std::uint16_t crc, bool bit) {
+  const bool feedback = ((crc >> 15) & 1) != (bit ? 1 : 0);
+  crc = static_cast<std::uint16_t>(crc << 1);
+  return feedback ? static_cast<std::uint16_t>(crc ^ 0x1021) : crc;
+}
+
+/// CRC over a bit sequence stored one bit per byte (frame payloads, image
+/// bits): each entry counts as nonzero-vs-zero. Pass a previous result as
+/// `crc` to continue over a following sequence.
+std::uint16_t crc16Bits(std::span<const std::uint8_t> bits,
+                        std::uint16_t crc = kCrc16Init);
+
+/// CRC over dense bytes, all 8 bits of each byte, MSB first. crc16Bits()
+/// reduces every byte to nonzero-vs-zero, so over a dense byte payload it
+/// would pass any flip that leaves the byte nonzero; checkpoint files need
+/// every bit feeding the register.
+std::uint16_t crc16Bytes(std::span<const std::uint8_t> bytes);
 
 class ConfigImage {
  public:
@@ -49,7 +71,8 @@ struct Bitstream {
   std::size_t frameCount() const { return frames.size(); }
   std::size_t bitCount() const { return frames.size() * frameBits; }
 
-  /// Recomputes the CRC over all payloads (in frame order).
+  /// Recomputes the CRC over all payloads (in frame order, as one bit
+  /// sequence).
   void sealCrc();
   /// True when the stored CRC matches the payloads.
   bool crcOk() const;

@@ -16,24 +16,6 @@ constexpr char kMagic[4] = {'V', 'F', 'C', 'K'};
 // magic + version + generation + payloadLen.
 constexpr std::size_t kHeaderBytes = 4 + 2 + 8 + 4;
 
-/// Byte-wise CRC-16/CCITT-FALSE. The fabric's crc16Bits() consumes 0/1
-/// *bit streams* (frame payloads store one bit per byte) and reduces every
-/// byte to nonzero-vs-zero — over a dense byte payload it would pass any
-/// flip that leaves the byte nonzero. Checkpoints need all 8 bits of every
-/// byte feeding the register.
-std::uint16_t crc16Bytes(std::span<const std::uint8_t> bytes) {
-  std::uint16_t crc = 0xFFFF;
-  for (const std::uint8_t b : bytes) {
-    crc ^= static_cast<std::uint16_t>(std::uint16_t{b} << 8);
-    for (int i = 0; i < 8; ++i) {
-      crc = (crc & 0x8000) != 0
-                ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
-                : static_cast<std::uint16_t>(crc << 1);
-    }
-  }
-  return crc;
-}
-
 void putU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xff));
   out.push_back(static_cast<std::uint8_t>(v >> 8));

@@ -25,10 +25,9 @@ DownloadOutcome downloadWithRetry(ConfigPort& port, const Bitstream& bs,
 }
 
 std::uint16_t stateCrc(const std::vector<bool>& bits) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(bits.size());
-  for (bool b : bits) bytes.push_back(b ? 1 : 0);
-  return crc16Bits(bytes);
+  std::uint16_t crc = kCrc16Init;
+  for (const bool b : bits) crc = crc16Step(crc, b);
+  return crc;
 }
 
 }  // namespace vfpga::fault

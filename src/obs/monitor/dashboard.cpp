@@ -6,6 +6,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace vfpga::obs::monitor {
 
 namespace {
@@ -45,20 +47,6 @@ const char* gradeColor(HealthGrade g) {
     case HealthGrade::kCritical: return "#c0392b";
   }
   return "#95a5a6";
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
 }
 
 }  // namespace

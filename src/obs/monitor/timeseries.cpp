@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <variant>
 
+#include "obs/json.hpp"
+
 namespace vfpga::obs::monitor {
 
 namespace {
@@ -248,8 +250,9 @@ std::string TimeSeriesStore::renderJson() const {
   for (const Series& s : series_) {
     os << (firstSeries ? "\n" : ",\n");
     firstSeries = false;
-    os << "    {\"name\": \"" << s.name << "\", \"unit\": \"" << s.unit
-       << "\", \"count\": " << s.allTime.count() << ", \"min\": "
+    os << "    {\"name\": \"" << jsonEscape(s.name) << "\", \"unit\": \""
+       << jsonEscape(s.unit) << "\", \"count\": " << s.allTime.count()
+       << ", \"min\": "
        << formatSampleValue(s.allTime.count() > 0 ? s.allTime.min() : 0.0)
        << ", \"max\": "
        << formatSampleValue(s.allTime.count() > 0 ? s.allTime.max() : 0.0)

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "sim/hash.hpp"
+
 namespace vfpga {
 
 /// xorshift128+ generator: fast, tiny state, good enough statistical quality
@@ -21,15 +23,8 @@ class Rng {
   /// Re-initializes the state from a seed via splitmix64 so that nearby
   /// seeds produce uncorrelated streams.
   void reseed(std::uint64_t seed) {
-    auto splitmix = [&seed]() {
-      seed += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      return z ^ (z >> 31);
-    };
-    s0_ = splitmix();
-    s1_ = splitmix();
+    s0_ = hash::splitmix64(seed);
+    s1_ = hash::splitmix64(seed + 0x9e3779b97f4a7c15ULL);
     if (s0_ == 0 && s1_ == 0) s1_ = 1;  // all-zero state is absorbing
   }
 

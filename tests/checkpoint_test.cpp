@@ -26,11 +26,14 @@
 #include "core/page_manager.hpp"
 #include "core/segment_manager.hpp"
 #include "fabric/device_family.hpp"
+#include "fabric/bitstream.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault/recovery.hpp"
 #include "netlist/library/coding.hpp"
 #include "netlist/library/control.hpp"
 #include "netlist/library/datapath.hpp"
+#include "sim/rng.hpp"
 
 namespace vfpga {
 namespace {
@@ -103,6 +106,24 @@ fault::TaskCheckpoint sampleCheckpoint() {
 }
 
 // ---- on-disk format --------------------------------------------------------
+
+TEST(CheckpointFormat, SharedCrcCoresMatchIndependentReference) {
+  Rng rng(42);
+  for (std::size_t n : {0u, 1u, 2u, 9u, 64u, 257u}) {
+    std::vector<std::uint8_t> bytes(n);
+    for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+    EXPECT_EQ(crc16Bytes(bytes), refCrc16(bytes.data(), bytes.size()));
+
+    // The saved-FF-state CRC is the bit CRC over the same 0/1 sequence.
+    std::vector<bool> state(n);
+    std::vector<std::uint8_t> stateBits(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      state[i] = (bytes[i] & 1) != 0;
+      stateBits[i] = bytes[i] & 1;
+    }
+    EXPECT_EQ(fault::stateCrc(state), crc16Bits(stateBits));
+  }
+}
 
 TEST(CheckpointFormat, EncodeDecodeRoundTrip) {
   const fault::TaskCheckpoint ck = sampleCheckpoint();

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <string_view>
+#include <utility>
 
 #include "fabric/bitstream.hpp"
 #include "fabric/config_map.hpp"
@@ -234,6 +237,37 @@ TEST(Bitstream, CrcDetectsCorruption) {
   EXPECT_FALSE(bs.crcOk());
   Device dev(tinyGeom());
   EXPECT_THROW(dev.applyBitstream(bs), std::runtime_error);
+}
+
+// ---- CRC-16/CCITT-FALSE ------------------------------------------------------
+
+TEST(Crc16, CheckValueThroughBytesAndBits) {
+  const std::string_view check = "123456789";
+  std::vector<std::uint8_t> bytes(check.begin(), check.end());
+  EXPECT_EQ(crc16Bytes(bytes), 0x29B1);
+  std::vector<std::uint8_t> bits;  // MSB-first unpacking, one bit per byte
+  for (const std::uint8_t b : bytes) {
+    for (int i = 7; i >= 0; --i) bits.push_back((b >> i) & 1);
+  }
+  EXPECT_EQ(crc16Bits(bits), 0x29B1);
+  // Continuing a CRC over a split sequence equals one pass over the whole.
+  const std::span<const std::uint8_t> all(bits);
+  EXPECT_EQ(crc16Bits(all.subspan(29), crc16Bits(all.first(29))), 0x29B1);
+}
+
+TEST(Bitstream, CrcCoversConcatenatedPayloadsInFrameOrder) {
+  ConfigImage img(320);
+  for (std::uint32_t i = 0; i < img.size(); i += 7) img.set(i, true);
+  Bitstream bs = makeFullBitstream(img, 64);
+  ASSERT_EQ(bs.frameCount(), 5u);
+  std::vector<std::uint8_t> all;
+  for (const Frame& f : bs.frames) {
+    all.insert(all.end(), f.payload.begin(), f.payload.end());
+  }
+  EXPECT_EQ(bs.crc, crc16Bits(all));
+  EXPECT_TRUE(bs.crcOk());
+  std::swap(bs.frames[1], bs.frames[3]);  // same bits, wrong order
+  EXPECT_FALSE(bs.crcOk());
 }
 
 // Hand-wires an inverter through the fabric without the CAD flow:

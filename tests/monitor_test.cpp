@@ -17,6 +17,7 @@
 #include "core/obs_bridge.hpp"
 #include "netlist/library/control.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/monitor/alerts.hpp"
 #include "obs/monitor/dashboard.hpp"
 #include "obs/monitor/health.hpp"
@@ -207,6 +208,31 @@ TEST(Alerts, ThresholdHysteresisPendingFiringResolved) {
   }
   EXPECT_EQ(edges,
             (std::vector<std::string>{"pending", "firing", "resolved"}));
+}
+
+TEST(Dashboard, JsonEscapesControlCharactersInNames) {
+  AlertRule r;
+  r.name = "hot\trule\r";
+  r.series = "sig\tnal";
+  r.kind = RuleKind::kThreshold;
+  r.threshold = 5.0;
+  Harness h(r);
+  h.tick(10.0);  // one transition, so the rule name lands twice
+
+  obs::monitor::DashboardInput in;
+  in.store = &h.store;
+  in.engine = &h.engine;
+  in.title = "tab\there\r\ncr";
+  in.atNs = h.t;
+  const obs::JsonValue doc =
+      obs::JsonValue::parse(obs::monitor::renderMonitorJson(in));
+  EXPECT_EQ(doc.at("title").asString(), in.title);
+  EXPECT_EQ(doc.at("alerts").asArray().at(0).at("name").asString(), r.name);
+  EXPECT_EQ(doc.at("transitions").asArray().at(0).at("rule").asString(),
+            r.name);
+  EXPECT_EQ(doc.at("timeseries").at("series").asArray().at(0).at("name")
+                .asString(),
+            r.series);
 }
 
 TEST(Alerts, PendingCancelsWhenConditionClearsBeforeFor) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/hash.hpp"
 #include "sim/parallel.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -199,6 +201,41 @@ TEST(Histogram, PercentileOfClampedSamplesStaysInRange) {
   EXPECT_LE(h.percentile(100.0), 10.0);
   EXPECT_GE(h.percentile(50.0), 0.0);
   EXPECT_LE(h.percentile(50.0), 10.0);
+}
+
+// ---- hash -------------------------------------------------------------------
+
+std::uint64_t fnvOf(std::string_view s) {
+  return hash::fnv1a(hash::kFnvOffset,
+                     {reinterpret_cast<const std::uint8_t*>(s.data()),
+                      s.size()});
+}
+
+TEST(Hash, Fnv1aPublishedVectors) {
+  EXPECT_EQ(fnvOf(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnvOf("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnvOf("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(Hash, Fnv1aU64FeedsLittleEndianBytes) {
+  const std::uint8_t le[8] = {8, 7, 6, 5, 4, 3, 2, 1};
+  EXPECT_EQ(hash::fnv1aU64(hash::kFnvOffset, 0x0102030405060708ull),
+            hash::fnv1a(hash::kFnvOffset, le));
+  EXPECT_EQ(hash::fnv1aU64(hash::kFnvOffset, 0x0102030405060708ull),
+            0x0c6d4496e17859d5ull);
+}
+
+TEST(Hash, Splitmix64PublishedVector) {
+  EXPECT_EQ(hash::splitmix64(0), 0xe220a8397b1dcdafull);
+}
+
+TEST(Rng, SeedExpansionIsPinned) {
+  // xorshift128+ over two splitmix64 words of the seed; every seeded
+  // campaign golden depends on this stream.
+  Rng rng(7);
+  EXPECT_EQ(rng.next(), 0x99f7499fde2c6d8bull);
+  EXPECT_EQ(rng.next(), 0x8fc826a5526d3506ull);
+  EXPECT_EQ(rng.next(), 0x065fafe5b3a6a031ull);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -1,95 +1,6 @@
-// vfpga_cli — command-line front end to the library:
-//
-//   vfpga_cli list-circuits                 catalogue of application circuits
-//   vfpga_cli list-devices                  device profiles and their numbers
-//   vfpga_cli info --device <name>          geometry / config / timing detail
-//   vfpga_cli compile --circuit <name> --device <name> [--width N]
-//              [--no-optimize] [--out file.vfpb]       compile + stats
-//   vfpga_cli simulate --circuit <name> --device <name> [--width N]
-//              [--cycles N] [--seed N] [--vcd file.vcd] run on the device
-//   vfpga_cli lint (--circuit <name> | --netlist file.vnl | --all)
-//              [--device <name>] [--width N] [--no-optimize] [--json]
-//              run every analysis pass over the flow; nonzero exit on any
-//              error-severity diagnostic
-//   vfpga_cli lint --list-rules             the rule registry
-//   vfpga_cli lint --fix --netlist file.vnl [--out fixed.vnl]
-//              auto-repair the fixable findings (NL007 dead gates) with
-//              the equivalence-preserving rewrite and emit the repaired
-//              netlist; exit 0 iff everything fixable was repaired and
-//              the re-lint came back clean
-//   vfpga_cli cluster [--devices N] [--seed N] [--campaign ci|heal|stress]
-//              [--policy first_fit|least_loaded|best_fit]
-//              [--format text|json] [--out file]
-//              seeded multi-device campaign: shared bitstream cache,
-//              admission backpressure, pluggable placement and live task
-//              migration off degraded devices; the report is
-//              byte-identical per seed and a copy lands in the obs output
-//              directory; exit 0 iff every SLO was met
-//   vfpga_cli monitor [--devices N] [--seed N] [--refresh N]
-//              [--format text|json|html] [--out file]
-//              continuous health monitor over a seeded degradation
-//              campaign: a time-series store samples cluster and
-//              per-device signals on a sim-time cadence, an alert engine
-//              evaluates SLO burn-rate / rate-of-change / threshold /
-//              EWMA-anomaly rules with pending->firing->resolved
-//              hysteresis, and a per-device health model steers placement
-//              away from degrading devices before hard quarantine.
-//              Text / JSON / HTML dashboards are byte-identical per seed
-//              (sidecars of all three land in the obs output directory);
-//              --refresh N prints N live dashboard frames to stderr while
-//              the campaign runs. Exit 0 when nothing is left firing,
-//              1 when the worst firing alert is a warning, 2 critical
-//   vfpga_cli trace (--circuit <name> | --netlist file.vnl)
-//              [--device <name>] [--width N] [--format chrome|csv]
-//              [--validate] [--stream file.ndjson] [--out file]
-//              compile + run the circuit under two OS policies; emit the
-//              merged timeline (Perfetto-loadable); --stream additionally
-//              writes live NDJSON records while the run is in flight
-//   vfpga_cli trace --from file.ndjson [--format chrome|csv] [--validate]
-//              re-render a captured NDJSON stream (exit 3 when any line
-//              is truncated or fails the strict JSON parser)
-//   vfpga_cli report [--device <name>] [--format prometheus|csv|json]
-//              [--min-names N] [--links] [--stream file.ndjson] [--out
-//              file] run a six-technique workload and expose every metric
-//              the substrate collected; --stream additionally writes live
-//              NDJSON records and publishes the vfpga_obs_flush_ns
-//              self-observation histogram (what streaming itself cost);
-//              --links instead prints the compile-span -> OS-span link
-//              table (exit 1 when any FPGA task resolves no link)
-//   vfpga_cli heatmap [--device <name>] [--seed N]
-//              [--format csv|json|html] [--out file]  deterministic
-//              partitioned run with scripted strip failures; emit the
-//              per-strip occupancy matrix (byte-identical per seed)
-//   vfpga_cli profile [--device <name>] [--seed N] [--cycles N] [--top K]
-//              [--activity] [--waterfall] [--ledger]
-//              [--format text|json|collapsed|speedscope] [--out file]
-//              hierarchical profile of a seeded campaign: fabric hot-cone
-//              activity (probe-sampled LUT evals / net toggles / switchbox
-//              hops), per-task lifecycle waterfall with critical-path
-//              attribution, and the per-task resource ledger; collapsed/
-//              speedscope render the span tree as a flamegraph. Output is
-//              byte-identical per seed; exit 0 iff the profile is complete
-//              (every task produced spans and the probe saw activity)
-//   vfpga_cli faults [--seed N] [--campaign ci|stress] [--out file]
-//              [--flight-dir dir] [--stream file.ndjson]
-//              run a seeded fault-injection campaign (bit flips, aborted
-//              downloads, permanent strip failures, hangs) against the
-//              partitioned kernel and emit a survival report; exit 0 iff
-//              every task finished
-//   vfpga_cli chaos [--seed N] [--campaign ci|stress] [--dir dir]
-//              [--out file] [--flight-dir dir]
-//              seeded kill-restore-verify campaign: a checkpointing
-//              kernel is killed mid-flight, its durable checkpoints are
-//              tampered with (truncation, bit rot, stale generations),
-//              and a fresh kernel restores every task it can prove
-//              intact; plus a bit-exact restore proof and residency
-//              fault classes in the technique managers. Byte-identical
-//              per seed; exit 0 iff every corruption was detected and
-//              zero silent wrong state survived
-//   vfpga_cli bench-trend --baseline bench/baselines.json [--dir dir]
-//              [--tolerance F] [--out trend.json]  compare BENCH_*.json
-//              sidecars against committed baselines; exit 1 on any metric
-//              drifting beyond the tolerance band
+// vfpga_cli — command-line front end to the library. Run it with no
+// arguments for the command list (kCommands, near main, is the one place
+// commands are declared).
 //
 // Exit codes: 0 success, 1 findings / runtime errors, 2 usage,
 // 3 export or validation failure. The same codes apply to every command
@@ -97,16 +8,21 @@
 // failure, 1 on findings).
 #include <algorithm>
 #include <array>
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <sstream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "analysis/cluster_lint.hpp"
 #include "analysis/compiled_lint.hpp"
@@ -157,6 +73,33 @@ using workloads::AppCircuit;
 
 namespace {
 
+/// printf's %llu argument.
+unsigned long long ull(std::uint64_t v) { return v; }
+
+/// A malformed command line: main reports it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The one numeric-option parser: a plain decimal number (no sign, no
+/// whitespace, nothing trailing) no greater than `max`; anything else is a
+/// UsageError naming `what`.
+template <typename T>
+T parseNumber(const std::string& what, const std::string& text, T max) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const bool plain =
+      !text.empty() && (std::isdigit(static_cast<unsigned char>(text[0])) ||
+                        text[0] == '.');
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (plain && ec == std::errc{} && stop == end && v <= max) return v;
+  std::string expected = "an unsigned number";
+  if constexpr (std::is_integral_v<T>) {
+    expected = "an unsigned integer <= " + std::to_string(max);
+  }
+  throw UsageError(what + ": expected " + expected + ", got '" + text + "'");
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -165,59 +108,17 @@ struct Args {
     auto it = options.find(k);
     return it == options.end() ? dflt : it->second;
   }
+  /// Numeric option --k: `dflt` when absent, else parseNumber's verdict
+  /// (the destination type bounds `max`).
+  template <typename T>
+  T num(const std::string& k, T dflt,
+        T max = std::numeric_limits<T>::max()) const {
+    const auto it = options.find(k);
+    return it == options.end() ? dflt : parseNumber("--" + k, it->second, max);
+  }
 };
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: vfpga_cli <command> [options]\n"
-               "  list-circuits\n"
-               "  list-devices\n"
-               "  info --device <name>\n"
-               "  compile (--circuit <name> | --netlist file.vnl)"
-               " --device <name> [--width N] [--no-optimize]"
-               " [--out file.vfpb]\n"
-               "  simulate (--circuit <name> | --netlist file.vnl)"
-               " --device <name> [--width N] [--cycles N] [--seed N]"
-               " [--vcd file.vcd]\n"
-               "  lint (--circuit <name> | --netlist file.vnl | --all)"
-               " [--device <name>] [--width N] [--no-optimize] [--json]\n"
-               "  lint --list-rules\n"
-               "  lint --fix --netlist file.vnl [--out fixed.vnl]\n"
-               "  equiv (--circuit <name> | --netlist file.vnl | --all)"
-               " [--device <name>] [--width N] [--relocate] [--seed N]"
-               " [--json] [--out file]\n"
-               "  cluster [--devices N] [--seed N] [--campaign ci|heal|"
-               "stress]\n"
-               "          [--policy first_fit|least_loaded|best_fit]"
-               " [--format text|json] [--out file]\n"
-               "  monitor [--devices N] [--seed N] [--refresh N]"
-               " [--format text|json|html] [--out file]\n"
-               "  trace (--circuit <name> | --netlist file.vnl)"
-               " [--device <name>] [--width N] [--format chrome|csv]"
-               " [--validate] [--stream file.ndjson] [--out file]\n"
-               "  trace --from file.ndjson [--format chrome|csv]"
-               " [--validate] [--out file]\n"
-               "  report [--device <name>] [--format prometheus|csv|json]"
-               " [--min-names N] [--links] [--stream file.ndjson]"
-               " [--out file]\n"
-               "  heatmap [--device <name>] [--seed N]"
-               " [--format csv|json|html] [--out file]\n"
-               "  profile [--device <name>] [--seed N] [--cycles N]"
-               " [--top K] [--activity] [--waterfall] [--ledger]\n"
-               "          [--format text|json|collapsed|speedscope]"
-               " [--out file]\n"
-               "  faults [--seed N] [--campaign ci|stress] [--out file]"
-               " [--flight-dir dir] [--stream file.ndjson]\n"
-               "  chaos [--seed N] [--campaign ci|stress] [--dir dir]"
-               " [--out file] [--flight-dir dir]\n"
-               "  bench-trend --baseline file.json [--dir dir]"
-               " [--tolerance F] [--out trend.json]\n"
-               "stream knobs: [--stream-ring N] [--stream-flush N]"
-               " [--stream-flush-ns N] [--stream-sample key=N[,key=N]]\n"
-               "exit codes: 0 success, 1 findings / runtime errors,"
-               " 2 usage, 3 export or validation failure\n");
-  return 2;
-}
+int usage();
 
 /// Loads the circuit under test: a built-in library circuit by name, or a
 /// .vnl text netlist from disk.
@@ -255,7 +156,51 @@ std::optional<Args> parse(int argc, char** argv) {
   return a;
 }
 
-int listCircuits() {
+/// --width N, when given. Commands read it before any per-circuit error
+/// handling, so a bad value stays a usage error.
+std::optional<std::uint16_t> stripWidth(const Args& a) {
+  if (!a.has("width")) return std::nullopt;
+  const auto w = a.num<std::uint16_t>("width", 0);
+  if (w == 0) throw UsageError("--width: a strip has at least one column");
+  return w;
+}
+
+/// Compiles `nl` into `width` columns from column 0, or without a width
+/// into the narrowest strip that fits.
+CompiledCircuit compileAt(Compiler& compiler, const Netlist& nl,
+                          std::optional<std::uint16_t> width,
+                          const CompileOptions& opt = {}) {
+  if (!width) return workloads::compileMinimal(compiler, nl, opt.seed);
+  return compiler.compile(nl, Region::columns(compiler.geometry(), 0, *width),
+                          opt);
+}
+
+/// The one file writer: `bytes` to `path`, truncating. False, with the
+/// path named on stderr, when the file cannot be written.
+bool writeFile(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return false;
+}
+
+/// Machine-readable payloads go to --out (or stdout, alone); human chatter
+/// stays on stderr. Exit 3 when the export cannot be written.
+int emitPayload(const Args& a, std::string_view payload) {
+  if (!a.has("out")) {
+    std::fwrite(payload.data(), 1, payload.size(), stdout);
+    return 0;
+  }
+  const std::string path = a.get("out");
+  if (!writeFile(path, payload)) return 3;
+  std::fprintf(stderr, "wrote %zu bytes to %s\n", payload.size(),
+               path.c_str());
+  return 0;
+}
+
+int listCircuits(const Args&) {
   std::printf("%-14s %-12s %8s %8s %6s %6s\n", "name", "domain", "gates",
               "DFFs", "ins", "outs");
   for (const AppCircuit& c : workloads::allSuites()) {
@@ -267,7 +212,7 @@ int listCircuits() {
   return 0;
 }
 
-int listDevices() {
+int listDevices(const Args&) {
   std::printf("%-16s %6s %6s %5s %7s %12s %10s %9s\n", "name", "cols",
               "rows", "K", "wires", "config_bits", "full_ms", "partial?");
   for (const DeviceProfile& p : allProfiles()) {
@@ -307,7 +252,10 @@ int deviceInfo(const Args& a) {
   return 0;
 }
 
+/// Optimizes and compiles one circuit, then prints its size, download cost
+/// and timing report; --out writes the partial bitstream.
 int compileCmd(const Args& a) {
+  const auto width = stripWidth(a);
   AppCircuit circuit = loadCircuit(a);
   DeviceProfile p = profileByName(a.get("device"));
   Device dev = p.makeDevice();
@@ -322,15 +270,9 @@ int compileCmd(const Args& a) {
                 ostats.gatesIn, ostats.gatesOut, ostats.constantsFolded,
                 ostats.deduplicated, ostats.deadRemoved);
   }
-  CompiledCircuit c = [&] {
-    if (a.has("width")) {
-      const auto w = static_cast<std::uint16_t>(std::stoul(a.get("width")));
-      CompileOptions opt;
-      opt.optimize = false;  // already done above
-      return compiler.compile(nl, Region::columns(dev.geometry(), 0, w), opt);
-    }
-    return workloads::compileMinimal(compiler, nl);
-  }();
+  CompileOptions opt;
+  opt.optimize = false;  // already done above
+  const CompiledCircuit c = compileAt(compiler, nl, width, opt);
   std::printf("compiled %s for %s:\n", circuit.name.c_str(), p.name.c_str());
   std::printf("  %zu LUT cells (%zu registered), depth %zu\n", c.cellCount(),
               c.ffCount(), c.mapped.depth());
@@ -348,33 +290,31 @@ int compileCmd(const Args& a) {
     return 1;
   }
   std::printf("  min clock period %llu ns (%.1f MHz)\n",
-              static_cast<unsigned long long>(dev.minClockPeriod()),
+              ull(dev.minClockPeriod()),
               1e3 / static_cast<double>(dev.minClockPeriod()));
   std::fputs(renderTimingReport(dev, 3).c_str(), stdout);
   if (a.has("out")) {
     const auto bytes = serializeBitstream(bs);
-    std::ofstream out(a.get("out"), std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    if (!writeFile(a.get("out"),
+                   {reinterpret_cast<const char*>(bytes.data()),
+                    bytes.size()})) {
+      return 3;
+    }
     std::printf("  wrote %zu bytes to %s\n", bytes.size(),
                 a.get("out").c_str());
   }
   return 0;
 }
 
+/// Runs one compiled circuit on the device under seeded random stimulus and
+/// prints a per-cycle port table; --vcd also writes the output trace.
 int simulateCmd(const Args& a) {
   AppCircuit circuit = loadCircuit(a);
   DeviceProfile p = profileByName(a.get("device"));
   Device dev = p.makeDevice();
   Compiler compiler(dev);
-  CompiledCircuit c = [&] {
-    if (a.has("width")) {
-      const auto w = static_cast<std::uint16_t>(std::stoul(a.get("width")));
-      return compiler.compile(circuit.netlist,
-                              Region::columns(dev.geometry(), 0, w));
-    }
-    return workloads::compileMinimal(compiler, circuit.netlist);
-  }();
+  const CompiledCircuit c =
+      compileAt(compiler, circuit.netlist, stripWidth(a));
   dev.applyBitstream(c.fullBitstream());
   if (!dev.configOk()) {
     std::fprintf(stderr, "configuration fault: %s\n",
@@ -384,14 +324,13 @@ int simulateCmd(const Args& a) {
   LoadedCircuit lc(dev, c);
   lc.applyInitialState();
 
-  const int cycles = std::stoi(a.get("cycles", "16"));
-  Rng rng(std::stoull(a.get("seed", "1")));
+  const int cycles = a.num("cycles", 16);
+  Rng rng(a.num<std::uint64_t>("seed", 1));
 
-  std::ofstream vcdFile;
+  std::ostringstream vcdText;
   std::optional<VcdWriter> vcd;
   if (a.has("vcd")) {
-    vcdFile.open(a.get("vcd"));
-    vcd.emplace(vcdFile);
+    vcd.emplace(vcdText);
     for (const PortBinding& pb : c.ports) {
       if (pb.isInput) continue;
       vcd->addSignal(pb.name, [&lc, name = pb.name] {
@@ -430,27 +369,9 @@ int simulateCmd(const Args& a) {
     dev.tick();
   }
   if (a.has("vcd")) {
+    if (!writeFile(a.get("vcd"), vcdText.view())) return 3;
     std::printf("wrote VCD trace to %s\n", a.get("vcd").c_str());
   }
-  return 0;
-}
-
-/// Machine-readable payloads go to --out (or stdout, alone); human chatter
-/// stays on stderr. Exit 3 when the export cannot be written.
-int emitPayload(const Args& a, const std::string& payload) {
-  if (a.has("out")) {
-    std::ofstream out(a.get("out"), std::ios::binary);
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", a.get("out").c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "wrote %zu bytes to %s\n", payload.size(),
-                 a.get("out").c_str());
-    return 0;
-  }
-  std::fwrite(payload.data(), 1, payload.size(), stdout);
   return 0;
 }
 
@@ -502,9 +423,9 @@ std::string renderTimelineCsv(const obs::ChromeTraceInput& input) {
 obs::StreamOptions streamOptions(const Args& a) {
   obs::StreamOptions o;
   o.path = a.get("stream");
-  o.ringCapacity = std::stoul(a.get("stream-ring", "1024"));
-  o.flushEveryRecords = std::stoul(a.get("stream-flush", "64"));
-  o.flushTimeDeltaNs = std::stoull(a.get("stream-flush-ns", "0"));
+  o.ringCapacity = a.num<std::size_t>("stream-ring", 1024);
+  o.flushEveryRecords = a.num<std::size_t>("stream-flush", 64);
+  o.flushTimeDeltaNs = a.num<std::uint64_t>("stream-flush-ns", 0);
   // --stream-sample key=N[,key=N]: keep 1 of every N records per key
   // (span/instant category, or "trace" for Trace-ring records).
   std::stringstream ss(a.get("stream-sample"));
@@ -512,12 +433,24 @@ obs::StreamOptions streamOptions(const Args& a) {
   while (std::getline(ss, tok, ',')) {
     const std::size_t eq = tok.find('=');
     if (eq == std::string::npos || eq == 0) {
-      throw std::runtime_error("bad --stream-sample entry '" + tok + "'");
+      throw UsageError("bad --stream-sample entry '" + tok + "'");
     }
-    o.sampleEvery[tok.substr(0, eq)] =
-        static_cast<std::uint32_t>(std::stoul(tok.substr(eq + 1)));
+    o.sampleEvery[tok.substr(0, eq)] = parseNumber(
+        "--stream-sample " + tok.substr(0, eq), tok.substr(eq + 1),
+        std::numeric_limits<std::uint32_t>::max());
   }
   return o;
+}
+
+/// Opens the live exporter when --stream is given. False, with the path
+/// named on stderr, when the stream cannot be opened (the caller exits 3).
+bool openStream(const Args& a, std::optional<obs::StreamExporter>& stream) {
+  if (!a.has("stream")) return true;
+  stream.emplace(streamOptions(a));
+  if (stream->ok()) return true;
+  std::fprintf(stderr, "error: cannot open stream %s\n",
+               a.get("stream").c_str());
+  return false;
 }
 
 /// Wires a kernel's span tracer and Trace ring into the live exporter.
@@ -535,13 +468,11 @@ void reportStreamTotals(const obs::StreamExporter& stream, const char* cmd) {
   std::fprintf(stderr,
                "%s: stream wrote %llu records (%llu emitted, %llu dropped,"
                " %llu sampled out)\n",
-               cmd, static_cast<unsigned long long>(stream.written()),
-               static_cast<unsigned long long>(stream.emitted()),
-               static_cast<unsigned long long>(stream.dropped()),
-               static_cast<unsigned long long>(stream.sampledOut()));
+               cmd, ull(stream.written()), ull(stream.emitted()),
+               ull(stream.dropped()), ull(stream.sampledOut()));
   for (const auto& [key, n] : stream.droppedByKey()) {
-    std::fprintf(stderr, "%s: stream dropped %llu x %s\n", cmd,
-                 static_cast<unsigned long long>(n), key.c_str());
+    std::fprintf(stderr, "%s: stream dropped %llu x %s\n", cmd, ull(n),
+                 key.c_str());
   }
 }
 
@@ -632,8 +563,7 @@ int loadStream(const std::string& path, CapturedStream& out) {
     } catch (const obs::JsonError& e) {
       std::fprintf(stderr,
                    "error: %s:%llu: truncated or invalid stream record: %s\n",
-                   path.c_str(), static_cast<unsigned long long>(lineNo),
-                   e.what());
+                   path.c_str(), ull(lineNo), e.what());
       return 3;
     }
     ++out.records;
@@ -685,6 +615,111 @@ Netlist named(Netlist nl, const char* name) {
   return nl;
 }
 
+/// The three circuits the OS campaigns share: a 6-bit counter, a 6-bit
+/// checksum and an 8-bit LFSR.
+std::array<Netlist, 3> campaignNetlists() {
+  return {named(lib::makeCounter(6), "count"),
+          named(lib::makeChecksum(6), "csum"),
+          named(lib::makeLfsr(8, 0b10111000), "lfsr")};
+}
+
+/// Compiles each campaign circuit into `strip` and registers it with the
+/// kernel, one after the other.
+std::array<ConfigId, 3> registerCampaign(OsKernel& kernel, Compiler& compiler,
+                                         const Region& strip) {
+  const std::array<Netlist, 3> nls = campaignNetlists();
+  std::array<ConfigId, 3> ids{};
+  for (std::size_t i = 0; i < nls.size(); ++i) {
+    ids[i] = kernel.registerConfig(compiler.compile(nls[i], strip));
+  }
+  return ids;
+}
+
+/// The partitioned kernel under a fault plan: periodic scrubbing, verified
+/// downloads with up to four retries, and a hang watchdog.
+OsOptions faultTolerantOptions(fault::FaultPlan& plan) {
+  OsOptions opt;
+  opt.policy = FpgaPolicy::kPartitionedVariable;
+  opt.ft.plan = &plan;
+  opt.ft.scrubInterval = micros(500);
+  opt.ft.recovery = fault::RecoveryOptions{true, 4, micros(50)};
+  opt.ft.watchdogFactor = 4.0;
+  return opt;
+}
+
+/// Static FT-rule check of a fault campaign's knobs before anything runs;
+/// findings go to stderr, false on any error. `prof` carries what the plan
+/// spec does not (the residency fault classes).
+bool faultKnobsOk(const fault::FaultPlanSpec& spec, const OsOptions& opt,
+                  analysis::FaultToleranceProfile prof = {}) {
+  prof.downloadCorruptRate = spec.downloadCorruptRate;
+  prof.downloadAbortRate = spec.downloadAbortRate;
+  prof.stateCorruptRate = spec.stateCorruptRate;
+  prof.meanUpsetsPerScrub = spec.meanUpsetsPerScrub;
+  prof.execHangRate = spec.execHangRate;
+  prof.anyStripFailures = !spec.stripFailures.empty();
+  prof.scrubInterval = opt.ft.scrubInterval;
+  prof.verifyDownloads = opt.ft.recovery.verifyDownloads;
+  prof.maxDownloadRetries = opt.ft.recovery.maxDownloadRetries;
+  prof.watchdogFactor = opt.ft.watchdogFactor;
+  prof.garbageCollect = opt.garbageCollect;
+  analysis::Report rep;
+  analysis::lintFaultTolerance(prof, rep);
+  if (!rep.diagnostics().empty()) {
+    std::fprintf(stderr, "%s", rep.renderText().c_str());
+  }
+  return rep.ok();
+}
+
+/// The scripted strip-failure campaign behind heatmap and profile: six
+/// staggered tasks over the campaign circuits on a fault-tolerant
+/// partitioned kernel while strips 2 and 9 fail at 2 ms and 5 ms.
+struct StripFailureCampaign {
+  fault::FaultPlan plan;
+  Device dev;
+  ConfigPort port;
+  Compiler compiler;
+  Simulation sim;
+  OsKernel kernel;
+
+  StripFailureCampaign(const DeviceProfile& p, std::uint64_t seed)
+      : plan(spec(seed)),
+        dev(p.makeDevice()),
+        port(dev, p.port),
+        compiler(dev),
+        kernel(sim, dev, port, compiler, faultTolerantOptions(plan)) {}
+  // The kernel and the plan pointer refer to the members above.
+  StripFailureCampaign(const StripFailureCampaign&) = delete;
+  StripFailureCampaign& operator=(const StripFailureCampaign&) = delete;
+
+  static fault::FaultPlanSpec spec(std::uint64_t seed) {
+    fault::FaultPlanSpec s;
+    s.seed = seed;
+    s.stripFailures = {{millis(2), 2}, {millis(5), 9}};
+    return s;
+  }
+
+  /// Registers the circuits, submits the tasks (named prefix0..prefix5)
+  /// and runs the kernel to completion.
+  void run(const char* taskPrefix) {
+    const auto cfgs = registerCampaign(
+        kernel, compiler, Region::columns(dev.geometry(), 0, 4));
+    for (std::size_t i = 0; i < 6; ++i) {
+      TaskSpec t;
+      t.name = taskPrefix + std::to_string(i);
+      t.arrival = static_cast<SimTime>(i) * micros(200);
+      t.ops = {CpuBurst{micros(25)}, FpgaExec{cfgs[i % 3], 15000 + 4000 * i},
+               CpuBurst{micros(15)}};
+      kernel.addTask(std::move(t));
+    }
+    kernel.run();
+  }
+};
+
+/// Compiles the circuit, runs it under two OS policies and emits the merged
+/// timeline (Perfetto-loadable); --stream also writes live NDJSON while the
+/// run is in flight. --from re-renders a captured stream instead (exit 3
+/// when any line is truncated or fails the strict JSON parser).
 int traceCmd(const Args& a) {
   const std::string fmt = a.get("format", "chrome");
   if (fmt != "chrome" && fmt != "csv") {
@@ -702,9 +737,8 @@ int traceCmd(const Args& a) {
     std::fprintf(stderr,
                  "trace: replayed %llu stream records across %zu domains"
                  " (%llu summaries)\n",
-                 static_cast<unsigned long long>(cap.records),
-                 cap.tracers.size() + cap.traces.size(),
-                 static_cast<unsigned long long>(cap.summaries));
+                 ull(cap.records), cap.tracers.size() + cap.traces.size(),
+                 ull(cap.summaries));
     const obs::ChromeTraceInput input = capturedInput(cap);
     const std::string chrome = obs::renderChromeTrace(input);
     if (a.has("validate")) {
@@ -728,24 +762,11 @@ int traceCmd(const Args& a) {
   // Live streaming: attach before anything compiles or runs so the NDJSON
   // file fills while the workload is in flight.
   std::optional<obs::StreamExporter> stream;
-  if (a.has("stream")) {
-    stream.emplace(streamOptions(a));
-    if (!stream->ok()) {
-      std::fprintf(stderr, "error: cannot open stream %s\n",
-                   a.get("stream").c_str());
-      return 3;
-    }
-    stream->attach(wall, "flow");
-  }
+  if (!openStream(a, stream)) return 3;
+  if (stream) stream->attach(wall, "flow");
 
-  const CompiledCircuit primary = [&] {
-    if (a.has("width")) {
-      const auto w = static_cast<std::uint16_t>(std::stoul(a.get("width")));
-      return compiler.compile(circuit.netlist,
-                              Region::columns(dev.geometry(), 0, w));
-    }
-    return workloads::compileMinimal(compiler, circuit.netlist);
-  }();
+  const CompiledCircuit primary =
+      compileAt(compiler, circuit.netlist, stripWidth(a));
   // A second circuit so the kernels genuinely context-switch.
   const CompiledCircuit aux =
       workloads::compileMinimal(compiler, named(lib::makeChecksum(6), "csum"));
@@ -802,6 +823,10 @@ int traceCmd(const Args& a) {
   return emitPayload(a, fmt == "chrome" ? chrome : renderTimelineCsv(input));
 }
 
+/// Runs a six-technique workload and exposes every metric it collected;
+/// --stream also publishes the vfpga_obs_flush_ns histogram (what streaming
+/// itself cost). --links prints the compile-span -> OS-span link table
+/// instead (exit 1 when any FPGA task resolves no link).
 int reportCmd(const Args& a) {
   const std::string fmt = a.get("format", "prometheus");
   if (fmt != "prometheus" && fmt != "csv" && fmt != "json") {
@@ -827,15 +852,8 @@ int reportCmd(const Args& a) {
   // (published only when a stream is attached, so plain runs keep their
   // exact metric-family set).
   std::optional<obs::StreamExporter> stream;
-  if (a.has("stream")) {
-    stream.emplace(streamOptions(a));
-    if (!stream->ok()) {
-      std::fprintf(stderr, "error: cannot open stream %s\n",
-                   a.get("stream").c_str());
-      return 3;
-    }
-    stream->attach(wall, "flow");
-  }
+  if (!openStream(a, stream)) return 3;
+  if (stream) stream->attach(wall, "flow");
 
   // --links: per-config counts of OS spans carrying the compile span id,
   // plus a per-task verdict (>=1 linked download span for some config the
@@ -1076,10 +1094,8 @@ int reportCmd(const Args& a) {
       os << buf;
       for (const LinkRow& r : linkRows) {
         std::snprintf(buf, sizeof buf, "%-22s %-8s %12llu %10llu %10llu\n",
-                      r.policy.c_str(), r.config.c_str(),
-                      static_cast<unsigned long long>(r.compileSpan),
-                      static_cast<unsigned long long>(r.downloads),
-                      static_cast<unsigned long long>(r.execs));
+                      r.policy.c_str(), r.config.c_str(), ull(r.compileSpan),
+                      ull(r.downloads), ull(r.execs));
         os << buf;
       }
       os << "\ntask link coverage\n";
@@ -1101,7 +1117,7 @@ int reportCmd(const Args& a) {
   std::fprintf(stderr, "report: %zu metric families, %zu series\n",
                reg.familyCount(), reg.size());
   if (a.has("min-names")) {
-    const std::size_t need = std::stoul(a.get("min-names"));
+    const std::size_t need = a.num<std::size_t>("min-names", 0);
     if (reg.familyCount() < need) {
       std::fprintf(stderr,
                    "report: only %zu metric families (< %zu required)\n",
@@ -1156,6 +1172,9 @@ int lintFixCmd(const Args& a) {
   return left == 0 && after.ok() ? 0 : 1;
 }
 
+/// Runs every analysis pass over the flow (netlist, compiled stages,
+/// timing, equivalence of the configured device); exit 1 on any
+/// error-severity diagnostic.
 int lintCmd(const Args& a) {
   if (a.has("fix")) return lintFixCmd(a);
   if (a.has("list-rules")) {
@@ -1178,6 +1197,7 @@ int lintCmd(const Args& a) {
   }
 
   const bool json = a.has("json");
+  const auto width = stripWidth(a);
   std::size_t errors = 0;
   std::size_t warnings = 0;
   if (json) std::printf("[");
@@ -1195,17 +1215,9 @@ int lintCmd(const Args& a) {
       if (rep.ok()) {
         // The netlist is structurally sound: run the whole flow and lint
         // every compiled stage (mapping, placement, routing, bitstream).
-        const CompiledCircuit c = [&] {
-          if (a.has("width")) {
-            const auto w =
-                static_cast<std::uint16_t>(std::stoul(a.get("width")));
-            CompileOptions opt;
-            opt.optimize = false;  // handled above
-            return compiler.compile(nl, Region::columns(dev.geometry(), 0, w),
-                                    opt);
-          }
-          return workloads::compileMinimal(compiler, nl);
-        }();
+        CompileOptions opt;
+        opt.optimize = false;  // handled above
+        const CompiledCircuit c = compileAt(compiler, nl, width, opt);
         analysis::lintCompiled(c, dev.rrg(), dev.configMap(), rep);
         // Configure the device and close the loop: timing against the
         // family clock constraint (TA rules) and formal equivalence of the
@@ -1257,7 +1269,8 @@ int lintCmd(const Args& a) {
 int equivCmd(const Args& a) {
   if (!a.has("circuit") && !a.has("netlist") && !a.has("all")) return usage();
   DeviceProfile p = profileByName(a.get("device", "medium_partial"));
-  const std::uint64_t seed = std::stoull(a.get("seed", "1"));
+  const std::uint64_t seed = a.num<std::uint64_t>("seed", 1);
+  const auto width = stripWidth(a);
 
   std::vector<AppCircuit> circuits;
   if (a.has("all")) {
@@ -1281,16 +1294,10 @@ int equivCmd(const Args& a) {
     try {
       Device dev = p.makeDevice();
       Compiler compiler(dev);
-      const CompiledCircuit c = [&] {
-        if (a.has("width")) {
-          const auto w = static_cast<std::uint16_t>(std::stoul(a.get("width")));
-          CompileOptions co;
-          co.seed = seed;
-          return compiler.compile(circuit.netlist,
-                                  Region::columns(dev.geometry(), 0, w), co);
-        }
-        return workloads::compileMinimal(compiler, circuit.netlist, seed);
-      }();
+      CompileOptions co;
+      co.seed = seed;
+      const CompiledCircuit c =
+          compileAt(compiler, circuit.netlist, width, co);
       dev.applyBitstream(c.fullBitstream());
       stages.push_back({"post_pnr", analysis::equiv::checkConfiguredAgainst(
                                         dev, c, circuit.netlist)});
@@ -1388,7 +1395,7 @@ int equivCmd(const Args& a) {
 /// report is byte-identical for a given seed and campaign (the whole stack
 /// is deterministic), which is what the CI smoke test pins.
 int faultsCmd(const Args& a) {
-  const std::uint64_t seed = std::stoull(a.get("seed", "7"));
+  const std::uint64_t seed = a.num<std::uint64_t>("seed", 7);
   const std::string campaign = a.get("campaign", "ci");
   if (a.has("flight-dir")) {
     setenv("VFPGA_FLIGHT_DIR", a.get("flight-dir").c_str(), 1);
@@ -1417,34 +1424,9 @@ int faultsCmd(const Args& a) {
   }
   fault::FaultPlan plan(spec);
 
-  OsOptions opt;
-  opt.policy = FpgaPolicy::kPartitionedVariable;
-  opt.ft.plan = &plan;
-  opt.ft.scrubInterval = micros(500);
-  opt.ft.recovery = fault::RecoveryOptions{true, 4, micros(50)};
-  opt.ft.watchdogFactor = 4.0;
+  const OsOptions opt = faultTolerantOptions(plan);
 
-  // Static sanity check of the knob combination before anything runs.
-  {
-    analysis::FaultToleranceProfile prof;
-    prof.downloadCorruptRate = spec.downloadCorruptRate;
-    prof.downloadAbortRate = spec.downloadAbortRate;
-    prof.stateCorruptRate = spec.stateCorruptRate;
-    prof.meanUpsetsPerScrub = spec.meanUpsetsPerScrub;
-    prof.execHangRate = spec.execHangRate;
-    prof.anyStripFailures = !spec.stripFailures.empty();
-    prof.scrubInterval = opt.ft.scrubInterval;
-    prof.verifyDownloads = opt.ft.recovery.verifyDownloads;
-    prof.maxDownloadRetries = opt.ft.recovery.maxDownloadRetries;
-    prof.watchdogFactor = opt.ft.watchdogFactor;
-    prof.garbageCollect = opt.garbageCollect;
-    analysis::Report rep;
-    analysis::lintFaultTolerance(prof, rep);
-    if (!rep.diagnostics().empty()) {
-      std::fprintf(stderr, "%s", rep.renderText().c_str());
-    }
-    if (!rep.ok()) return 1;
-  }
+  if (!faultKnobsOk(spec, opt)) return 1;
 
   DeviceProfile p = profileByName(a.get("device", "medium_partial"));
   Device dev = p.makeDevice();
@@ -1457,23 +1439,9 @@ int faultsCmd(const Args& a) {
   // Live NDJSON stream of the campaign (watch with tail -f); the summary
   // goes to stderr so the survival report stays byte-identical per seed.
   std::optional<obs::StreamExporter> stream;
-  if (a.has("stream")) {
-    stream.emplace(streamOptions(a));
-    if (!stream->ok()) {
-      std::fprintf(stderr, "error: cannot open stream %s\n",
-                   a.get("stream").c_str());
-      return 3;
-    }
-    attachKernelStream(*stream, kernel, "os/faults");
-  }
-  const ConfigId cfgs[3] = {
-      kernel.registerConfig(
-          compiler.compile(named(lib::makeCounter(6), "count"), strip)),
-      kernel.registerConfig(
-          compiler.compile(named(lib::makeChecksum(6), "csum"), strip)),
-      kernel.registerConfig(
-          compiler.compile(named(lib::makeLfsr(8, 0b10111000), "lfsr"), strip)),
-  };
+  if (!openStream(a, stream)) return 3;
+  if (stream) attachKernelStream(*stream, kernel, "os/faults");
+  const auto cfgs = registerCampaign(kernel, compiler, strip);
   const std::size_t kTasks = 8;
   for (std::size_t i = 0; i < kTasks; ++i) {
     TaskSpec t;
@@ -1513,47 +1481,34 @@ int faultsCmd(const Args& a) {
   line("vfpga fault campaign report\n");
   line("===========================\n");
   line("campaign: %s\nseed: %llu\npolicy: %s\ndevice: %s\n\n",
-       campaign.c_str(), static_cast<unsigned long long>(seed),
-       fpgaPolicyName(opt.policy), p.name.c_str());
+       campaign.c_str(), ull(seed), fpgaPolicyName(opt.policy),
+       p.name.c_str());
   line("tasks: %zu   finished: %zu   parked: %zu\n\n", kTasks, finished,
        parked);
   line("injected\n");
-  line("  corrupted downloads:     %llu\n",
-       static_cast<unsigned long long>(in.corruptedDownloads));
-  line("  aborted downloads:       %llu\n",
-       static_cast<unsigned long long>(in.abortedDownloads));
-  line("  flipped wire bits:       %llu\n",
-       static_cast<unsigned long long>(in.flippedBits));
-  line("  state corruptions:       %llu\n",
-       static_cast<unsigned long long>(in.stateCorruptions));
-  line("  config upsets:           %llu\n",
-       static_cast<unsigned long long>(in.upsets));
-  line("  hung executions:         %llu\n\n",
-       static_cast<unsigned long long>(in.hangs));
+  line("  corrupted downloads:     %llu\n", ull(in.corruptedDownloads));
+  line("  aborted downloads:       %llu\n", ull(in.abortedDownloads));
+  line("  flipped wire bits:       %llu\n", ull(in.flippedBits));
+  line("  state corruptions:       %llu\n", ull(in.stateCorruptions));
+  line("  config upsets:           %llu\n", ull(in.upsets));
+  line("  hung executions:         %llu\n\n", ull(in.hangs));
   line("detected\n");
-  line("  verify failures (frames):%llu\n",
-       static_cast<unsigned long long>(ps.verifyFailures));
+  line("  verify failures (frames):%llu\n", ull(ps.verifyFailures));
   line("  state CRC failures:      %llu\n\n",
-       static_cast<unsigned long long>(
-           c("vfpga_fault_state_corruptions_total")));
+       ull(c("vfpga_fault_state_corruptions_total")));
   line("recovered\n");
   line("  download retries:        %llu\n",
-       static_cast<unsigned long long>(
-           c("vfpga_fault_download_retries_total")));
+       ull(c("vfpga_fault_download_retries_total")));
   line("  scrub runs:              %llu\n",
-       static_cast<unsigned long long>(c("vfpga_fault_scrub_runs_total")));
+       ull(c("vfpga_fault_scrub_runs_total")));
   line("  scrub repaired frames:   %llu\n",
-       static_cast<unsigned long long>(
-           c("vfpga_fault_scrub_repaired_frames_total")));
+       ull(c("vfpga_fault_scrub_repaired_frames_total")));
   line("  watchdog preemptions:    %llu\n",
-       static_cast<unsigned long long>(
-           c("vfpga_fault_watchdog_preemptions_total")));
+       ull(c("vfpga_fault_watchdog_preemptions_total")));
   line("  strips quarantined:      %llu\n",
-       static_cast<unsigned long long>(
-           c("vfpga_fault_strips_quarantined_total")));
+       ull(c("vfpga_fault_strips_quarantined_total")));
   line("  quarantine relocations:  %llu\n\n",
-       static_cast<unsigned long long>(
-           c("vfpga_fault_quarantine_relocations_total")));
+       ull(c("vfpga_fault_quarantine_relocations_total")));
   line("makespan: %.3f ms\n", toMilliseconds(kernel.metrics().makespan));
   line("survived: %s\n", survived ? "yes" : "no");
 
@@ -1587,7 +1542,7 @@ int faultsCmd(const Args& a) {
 ///
 /// Exit 0 iff all three phases survive with zero silent wrong state.
 int chaosCmd(const Args& a) {
-  const std::uint64_t seed = std::stoull(a.get("seed", "7"));
+  const std::uint64_t seed = a.num<std::uint64_t>("seed", 7);
   const std::string campaign = a.get("campaign", "ci");
   const std::string ckDir = a.get("dir", ".vfpga_chaos");
   if (a.has("flight-dir")) {
@@ -1622,43 +1577,19 @@ int chaosCmd(const Args& a) {
   }
   fault::FaultPlan plan(spec);
 
-  OsOptions opt;
-  opt.policy = FpgaPolicy::kPartitionedVariable;
-  opt.ft.plan = &plan;
-  opt.ft.scrubInterval = micros(500);
-  opt.ft.recovery = fault::RecoveryOptions{true, 4, micros(50)};
-  opt.ft.watchdogFactor = 4.0;
+  OsOptions opt = faultTolerantOptions(plan);
   opt.ft.checkpointDir = ckDir;
   opt.ft.checkpointInterval = micros(200);
 
-  // Static sanity check of the knob combination (incl. the phase-C
-  // residency fault classes) before anything runs.
-  {
-    analysis::FaultToleranceProfile prof;
-    prof.downloadCorruptRate = spec.downloadCorruptRate;
-    prof.downloadAbortRate = spec.downloadAbortRate;
-    prof.stateCorruptRate = spec.stateCorruptRate;
-    prof.meanUpsetsPerScrub = spec.meanUpsetsPerScrub;
-    prof.execHangRate = spec.execHangRate;
-    prof.overlayStaleReuseRate = 0.35;
-    prof.segmentTableCorruptRate = 0.35;
-    prof.pageResidencyLossRate = 0.35;
-    prof.anyStripFailures = !spec.stripFailures.empty();
-    prof.scrubInterval = opt.ft.scrubInterval;
-    prof.verifyDownloads = opt.ft.recovery.verifyDownloads;
-    prof.maxDownloadRetries = opt.ft.recovery.maxDownloadRetries;
-    prof.watchdogFactor = opt.ft.watchdogFactor;
-    prof.garbageCollect = opt.garbageCollect;
-    prof.verifyResidency = true;
-    analysis::Report rep;
-    analysis::lintFaultTolerance(prof, rep);
-    if (!rep.diagnostics().empty()) {
-      std::fprintf(stderr, "%s", rep.renderText().c_str());
-    }
-    if (!rep.ok()) return 1;
-  }
+  // The knob check covers the phase-C residency fault classes too.
+  analysis::FaultToleranceProfile residency;
+  residency.overlayStaleReuseRate = 0.35;
+  residency.segmentTableCorruptRate = 0.35;
+  residency.pageResidencyLossRate = 0.35;
+  if (!faultKnobsOk(spec, opt, residency)) return 1;
 
   DeviceProfile p = profileByName(a.get("device", "medium_partial"));
+  const Region strip = Region::columns(p.geometry, 0, 4);
   // The serialized header in front of the payload: "VFCK" magic (4) +
   // u16 version + u64 generation + u32 payloadLen.
   constexpr std::size_t kHeader = 18;
@@ -1666,23 +1597,6 @@ int chaosCmd(const Args& a) {
     std::ifstream in(path, std::ios::binary);
     return std::vector<char>((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
-  };
-  auto writeFile = [](const std::string& path,
-                      const std::vector<char>& bytes) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  };
-  auto registerWorkload = [](OsKernel& kernel, Compiler& compiler,
-                             const Device& dev) {
-    const Region strip = Region::columns(dev.geometry(), 0, 4);
-    return std::array<ConfigId, 3>{
-        kernel.registerConfig(
-            compiler.compile(named(lib::makeCounter(6), "count"), strip)),
-        kernel.registerConfig(
-            compiler.compile(named(lib::makeChecksum(6), "csum"), strip)),
-        kernel.registerConfig(compiler.compile(
-            named(lib::makeLfsr(8, 0b10111000), "lfsr"), strip)),
-    };
   };
 
   // ---- phase A part 1: run to the kill point, then die without finalize.
@@ -1694,7 +1608,7 @@ int chaosCmd(const Args& a) {
     Compiler compiler(dev);
     Simulation sim;
     OsKernel kernel(sim, dev, port, compiler, opt);
-    const auto cfgs = registerWorkload(kernel, compiler, dev);
+    const auto cfgs = registerCampaign(kernel, compiler, strip);
     for (std::size_t i = 0; i < kTasks; ++i) {
       TaskSpec t;
       t.name = "ch" + std::to_string(i);
@@ -1758,7 +1672,7 @@ int chaosCmd(const Args& a) {
           ++leftIntact;
           continue;
       }
-      writeFile(path, bytes);
+      if (!writeFile(path, {bytes.data(), bytes.size()})) return 3;
     }
   }
   const std::uint64_t tampered =
@@ -1780,7 +1694,7 @@ int chaosCmd(const Args& a) {
     Compiler compiler(dev);
     Simulation sim;
     OsKernel kernel(sim, dev, port, compiler, opt);
-    registerWorkload(kernel, compiler, dev);
+    registerCampaign(kernel, compiler, strip);
     fault::CheckpointStore* store = kernel.checkpointStore();
     for (const std::string& task : store->taskNames()) {
       // Per-slot CK lint: every rejected slot must be named by a rule.
@@ -1876,7 +1790,7 @@ int chaosCmd(const Args& a) {
     {  // rot the newest generation: the load below must fall back
       std::vector<char> bytes = readFile(w2.path);
       bytes[kHeader + (bytes.size() - kHeader) / 2] ^= 0x40;
-      writeFile(w2.path, bytes);
+      if (!writeFile(w2.path, {bytes.data(), bytes.size()})) return 3;
     }
     const auto lr = store.load("bitexact");
     bitFellBack = lr.ok && lr.fellBack;
@@ -1975,52 +1889,97 @@ int chaosCmd(const Args& a) {
     out += buf;
   };
   auto yn = [](bool b) { return b ? "yes" : "no"; };
-  auto u64 = [](std::uint64_t v) {
-    return static_cast<unsigned long long>(v);
-  };
   line("vfpga chaos campaign report\n");
   line("===========================\n");
   line("campaign: %s\nseed: %llu\ndevice: %s\ncheckpoint dir: %s\n\n",
-       campaign.c_str(), u64(seed), p.name.c_str(), ckDir.c_str());
-  line("phase A: kill-restore-verify (killed at %llu ns)\n", u64(killAt));
+       campaign.c_str(), ull(seed), p.name.c_str(), ckDir.c_str());
+  line("phase A: kill-restore-verify (killed at %llu ns)\n", ull(killAt));
   line("  tasks with checkpoints on disk: %zu / %zu\n", diskTasks, kTasks);
   line("  slots tampered:              %llu (truncated %llu, rotten %llu,"
        " stale-gen %llu, intact %llu)\n",
-       u64(tampered), u64(tamperTruncated), u64(tamperRotten),
-       u64(tamperStale), u64(leftIntact));
-  line("  corrupt slots detected:      %llu\n", u64(detectedSlots));
-  line("  CK-lint flagged slots:       %llu\n", u64(ckErrorSlots));
-  line("  fallbacks to older gen:      %llu\n", u64(fallbacks));
-  line("  parked with diagnostic:      %llu\n", u64(parkedDiag));
-  line("  congruence rejections:       %llu\n", u64(congruenceRejects));
-  line("  tasks restored:              %llu\n", u64(restored));
+       ull(tampered), ull(tamperTruncated), ull(tamperRotten),
+       ull(tamperStale), ull(leftIntact));
+  line("  corrupt slots detected:      %llu\n", ull(detectedSlots));
+  line("  CK-lint flagged slots:       %llu\n", ull(ckErrorSlots));
+  line("  fallbacks to older gen:      %llu\n", ull(fallbacks));
+  line("  parked with diagnostic:      %llu\n", ull(parkedDiag));
+  line("  congruence rejections:       %llu\n", ull(congruenceRejects));
+  line("  tasks restored:              %llu\n", ull(restored));
   line("  restored tasks finished:     %zu (parked %zu)\n",
        restoredFinished, restoredParked);
   line("  restart makespan:            %.3f ms\n", restartMakespanMs);
   line("  phase survived:              %s\n\n", yn(phaseA));
   line("phase B: bit-exact restore (fallback + relocation)\n");
   line("  fell back past rotten gen:   %s (restored generation %llu)\n",
-       yn(bitFellBack), u64(bitGen));
+       yn(bitFellBack), ull(bitGen));
   line("  equivalence proof:           %s\n", yn(equivOk));
   line("  registers match reference:   %s\n", yn(bitExact));
   line("  phase survived:              %s\n\n", yn(phaseB));
   line("phase C: manager residency faults (verification on)\n");
   line("  overlay stale reuses:        injected %llu detected %llu"
        " silent %llu\n",
-       u64(mc.staleOverlayReuses), u64(ovDet), u64(ovSil));
+       ull(mc.staleOverlayReuses), ull(ovDet), ull(ovSil));
   line("  segment table corruptions:   injected %llu detected %llu"
        " silent %llu\n",
-       u64(mc.segmentTableCorruptions), u64(sgDet), u64(sgSil));
+       ull(mc.segmentTableCorruptions), ull(sgDet), ull(sgSil));
   line("  page residency losses:       injected %llu detected %llu"
        " silent %llu\n",
-       u64(mc.pageResidencyLosses), u64(pgDet), u64(pgSil));
+       ull(mc.pageResidencyLosses), ull(pgDet), ull(pgSil));
   line("  phase survived:              %s\n\n", yn(phaseC));
-  line("silent wrong state: %llu\n", u64(silentTotal));
+  line("silent wrong state: %llu\n", ull(silentTotal));
   line("survived: %s\n", yn(survived));
 
   const int rc = emitPayload(a, out);
   if (rc != 0) return rc;
   return survived ? 0 : 1;
+}
+
+/// A cluster campaign's nodes: `devices` medium_partial devices named
+/// dev0, dev1, ...; dev1 is the unlucky one, faulted by `faulty`.
+std::vector<cluster::DeviceNodeSpec> clusterNodes(
+    std::size_t devices, const fault::FaultPlanSpec& faulty) {
+  std::vector<cluster::DeviceNodeSpec> specs;
+  for (std::size_t i = 0; i < devices; ++i) {
+    cluster::DeviceNodeSpec s;
+    s.name = "dev" + std::to_string(i);
+    s.profile = mediumPartialProfile();
+    if (i == 1) {
+      s.faulty = true;
+      s.faultSpec = faulty;
+    }
+    specs.push_back(std::move(s));
+  }
+  return specs;
+}
+
+/// The campaign circuits as 4-column cluster workloads.
+std::array<cluster::WorkloadId, 3> registerClusterWorkloads(
+    cluster::DevicePool& pool) {
+  const std::array<Netlist, 3> nls = campaignNetlists();
+  std::array<cluster::WorkloadId, 3> ids{};
+  for (std::size_t i = 0; i < nls.size(); ++i) {
+    ids[i] = pool.registerWorkload(nls[i].name(), nls[i], 4);
+  }
+  return ids;
+}
+
+/// Submits `jobs` seeded jobs, staggered ~120 us apart, each a CPU burst,
+/// a run of a random workload and a second CPU burst.
+void submitClusterJobs(cluster::ClusterScheduler& sched,
+                       const std::array<cluster::WorkloadId, 3>& ws,
+                       std::uint64_t seed, std::size_t jobs) {
+  Rng rng(seed);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    cluster::ClusterJobSpec job;
+    job.name = "j" + std::to_string(j);
+    job.submitAt = static_cast<SimTime>(j) * micros(120) +
+                   rng.below(micros(60));
+    job.priority = static_cast<int>(rng.below(3));
+    job.ops = {CpuBurst{micros(20)},
+               FpgaExec{ws[rng.below(3)], 15000 + 1000 * rng.below(20)},
+               CpuBurst{micros(10)}};
+    sched.submit(std::move(job));
+  }
 }
 
 /// Seeded multi-device cluster campaign: N partitioned kernels sharing one
@@ -2031,8 +1990,8 @@ int chaosCmd(const Args& a) {
 /// lands in the obs output directory so repo-root stays clean. Exit 0 iff
 /// every SLO was met.
 int clusterCmd(const Args& a) {
-  const std::uint64_t seed = std::stoull(a.get("seed", "7"));
-  const std::size_t devices = std::stoul(a.get("devices", "3"));
+  const std::uint64_t seed = a.num<std::uint64_t>("seed", 7);
+  const std::size_t devices = a.num<std::size_t>("devices", 3);
   const std::string campaign = a.get("campaign", "ci");
   const std::string fmt = a.get("format", "text");
   if (devices < 2 || devices > 8) {
@@ -2078,17 +2037,8 @@ int clusterCmd(const Args& a) {
     return 2;
   }
 
-  std::vector<cluster::DeviceNodeSpec> specs;
-  for (std::size_t i = 0; i < devices; ++i) {
-    cluster::DeviceNodeSpec s;
-    s.name = "dev" + std::to_string(i);
-    s.profile = mediumPartialProfile();
-    if (i == 1) {
-      s.faulty = true;
-      s.faultSpec = faulty;
-    }
-    specs.push_back(std::move(s));
-  }
+  const std::vector<cluster::DeviceNodeSpec> specs =
+      clusterNodes(devices, faulty);
 
   // Static sanity check of the campaign before anything runs (CL rules).
   {
@@ -2114,41 +2064,22 @@ int clusterCmd(const Args& a) {
   OsOptions base;
   base.priorityScheduling = true;
   cluster::DevicePool pool(sim, specs, cache, base);
-  const cluster::WorkloadId ws[3] = {
-      pool.registerWorkload("count", named(lib::makeCounter(6), "count"), 4),
-      pool.registerWorkload("csum", named(lib::makeChecksum(6), "csum"), 4),
-      pool.registerWorkload("lfsr",
-                            named(lib::makeLfsr(8, 0b10111000), "lfsr"), 4),
-  };
+  const auto ws = registerClusterWorkloads(pool);
 
   cluster::ClusterScheduler sched(sim, pool, copt);
-  Rng rng(seed);
-  for (std::size_t j = 0; j < jobCount; ++j) {
-    cluster::ClusterJobSpec job;
-    job.name = "j" + std::to_string(j);
-    job.submitAt = static_cast<SimTime>(j) * micros(120) +
-                   rng.below(micros(60));
-    job.priority = static_cast<int>(rng.below(3));
-    job.ops = {CpuBurst{micros(20)},
-               FpgaExec{ws[rng.below(3)], 15000 + 1000 * rng.below(20)},
-               CpuBurst{micros(10)}};
-    sched.submit(std::move(job));
-  }
+  submitClusterJobs(sched, ws, seed, jobCount);
   sched.run();
 
   const std::string payload =
       fmt == "json" ? sched.renderJsonReport() : sched.renderReport();
-  // Sidecar copy into the obs output directory (never the repo root).
+  // Sidecar copy into the obs output directory (never the repo root). A
+  // copy that cannot be written is reported but does not fail the run.
   const std::string side = obs::outputDir() + "/cluster_" + campaign + "_" +
                            cluster::placementPolicyName(copt.placement) +
                            "_" + std::to_string(seed) +
                            (fmt == "json" ? ".json" : ".txt");
-  {
-    std::ofstream sf(side, std::ios::binary);
-    sf.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    if (sf) {
-      std::fprintf(stderr, "cluster: report sidecar %s\n", side.c_str());
-    }
+  if (writeFile(side, payload)) {
+    std::fprintf(stderr, "cluster: report sidecar %s\n", side.c_str());
   }
   const int rc = emitPayload(a, payload);
   if (rc != 0) return rc;
@@ -2165,9 +2096,9 @@ int clusterCmd(const Args& a) {
 /// firing severity at campaign end (0 none, 1 warning, 2 critical): a
 /// healthy campaign resolves everything and exits 0.
 int monitorCmd(const Args& a) {
-  const std::uint64_t seed = std::stoull(a.get("seed", "7"));
-  const std::size_t devices = std::stoul(a.get("devices", "3"));
-  const std::size_t refresh = std::stoul(a.get("refresh", "0"));
+  const std::uint64_t seed = a.num<std::uint64_t>("seed", 7);
+  const std::size_t devices = a.num<std::size_t>("devices", 3);
+  const std::size_t refresh = a.num<std::size_t>("refresh", 0);
   const std::string fmt = a.get("format", "text");
   if (devices < 2 || devices > 8) {
     std::fprintf(stderr, "monitor: --devices must be in [2, 8]\n");
@@ -2191,44 +2122,18 @@ int monitorCmd(const Args& a) {
   faulty.seed = seed + 1;
   faulty.stripFailures = {{millis(2), 2}, {millis(4), 9}};
 
-  std::vector<cluster::DeviceNodeSpec> specs;
-  for (std::size_t i = 0; i < devices; ++i) {
-    cluster::DeviceNodeSpec s;
-    s.name = "dev" + std::to_string(i);
-    s.profile = mediumPartialProfile();
-    if (i == 1) {
-      s.faulty = true;
-      s.faultSpec = faulty;
-    }
-    specs.push_back(std::move(s));
-  }
+  const std::vector<cluster::DeviceNodeSpec> specs =
+      clusterNodes(devices, faulty);
 
   Simulation sim;
   cluster::BitstreamCache cache(32);
   OsOptions base;
   base.priorityScheduling = true;
   cluster::DevicePool pool(sim, specs, cache, base);
-  const cluster::WorkloadId ws[3] = {
-      pool.registerWorkload("count", named(lib::makeCounter(6), "count"), 4),
-      pool.registerWorkload("csum", named(lib::makeChecksum(6), "csum"), 4),
-      pool.registerWorkload("lfsr",
-                            named(lib::makeLfsr(8, 0b10111000), "lfsr"), 4),
-  };
+  const auto ws = registerClusterWorkloads(pool);
 
   cluster::ClusterScheduler sched(sim, pool, copt);
-  Rng rng(seed);
-  const std::size_t jobCount = 5 * devices;
-  for (std::size_t j = 0; j < jobCount; ++j) {
-    cluster::ClusterJobSpec job;
-    job.name = "j" + std::to_string(j);
-    job.submitAt = static_cast<SimTime>(j) * micros(120) +
-                   rng.below(micros(60));
-    job.priority = static_cast<int>(rng.below(3));
-    job.ops = {CpuBurst{micros(20)},
-               FpgaExec{ws[rng.below(3)], 15000 + 1000 * rng.below(20)},
-               CpuBurst{micros(10)}};
-    sched.submit(std::move(job));
-  }
+  submitClusterJobs(sched, ws, seed, 5 * devices);
 
   // ---- signal plane ----
   const SimDuration interval = micros(50);
@@ -2424,6 +2329,7 @@ int monitorCmd(const Args& a) {
 
   // Sidecar copies of all three renders into the obs output directory
   // (never the repo root); the CI determinism job compares them bytewise.
+  // As for cluster, a copy that cannot be written does not fail the run.
   const std::string stem =
       obs::outputDir() + "/monitor_ci_" + std::to_string(seed);
   struct SidecarFile {
@@ -2434,10 +2340,7 @@ int monitorCmd(const Args& a) {
       {".txt", &text}, {".json", &json}, {".html", &html}};
   for (const SidecarFile& sc : sidecars) {
     const std::string path = stem + sc.ext;
-    std::ofstream sf(path, std::ios::binary);
-    sf.write(sc.payload->data(),
-             static_cast<std::streamsize>(sc.payload->size()));
-    if (sf) {
+    if (writeFile(path, *sc.payload)) {
       std::fprintf(stderr, "monitor: sidecar %s\n", path.c_str());
     }
   }
@@ -2464,46 +2367,12 @@ int heatmapCmd(const Args& a) {
                  fmt.c_str());
     return 2;
   }
-  fault::FaultPlanSpec spec;
-  spec.seed = std::stoull(a.get("seed", "7"));
-  spec.stripFailures = {{millis(2), 2}, {millis(5), 9}};
-  fault::FaultPlan plan(spec);
-
-  OsOptions opt;
-  opt.policy = FpgaPolicy::kPartitionedVariable;
-  opt.ft.plan = &plan;
-  opt.ft.scrubInterval = micros(500);
-  opt.ft.recovery = fault::RecoveryOptions{true, 4, micros(50)};
-  opt.ft.watchdogFactor = 4.0;
-
-  DeviceProfile p = profileByName(a.get("device", "medium_partial"));
-  Device dev = p.makeDevice();
-  ConfigPort port(dev, p.port);
-  Compiler compiler(dev);
-
-  const Region strip = Region::columns(dev.geometry(), 0, 4);
-  Simulation sim;
-  OsKernel kernel(sim, dev, port, compiler, opt);
+  const DeviceProfile p = profileByName(a.get("device", "medium_partial"));
+  StripFailureCampaign campaign(p, a.num<std::uint64_t>("seed", 7));
   obs::HeatmapCollector heatmap(
-      static_cast<std::uint16_t>(dev.geometry().cols));
-  kernel.attachHeatmap(&heatmap);
-  const ConfigId cfgs[3] = {
-      kernel.registerConfig(
-          compiler.compile(named(lib::makeCounter(6), "count"), strip)),
-      kernel.registerConfig(
-          compiler.compile(named(lib::makeChecksum(6), "csum"), strip)),
-      kernel.registerConfig(
-          compiler.compile(named(lib::makeLfsr(8, 0b10111000), "lfsr"), strip)),
-  };
-  for (std::size_t i = 0; i < 6; ++i) {
-    TaskSpec t;
-    t.name = "hm" + std::to_string(i);
-    t.arrival = static_cast<SimTime>(i) * micros(200);
-    t.ops = {CpuBurst{micros(25)}, FpgaExec{cfgs[i % 3], 15000 + 4000 * i},
-             CpuBurst{micros(15)}};
-    kernel.addTask(std::move(t));
-  }
-  kernel.run();
+      static_cast<std::uint16_t>(campaign.dev.geometry().cols));
+  campaign.kernel.attachHeatmap(&heatmap);
+  campaign.run("hm");
 
   std::fprintf(stderr, "heatmap: %zu samples x %u columns\n",
                heatmap.samples().size(), heatmap.columns());
@@ -2541,10 +2410,9 @@ int profileCmd(const Args& a) {
   const bool selWaterfall = a.has("waterfall");
   const bool selLedger = a.has("ledger");
   const bool allSections = !selActivity && !selWaterfall && !selLedger;
-  const std::size_t topk = std::stoul(a.get("top", "10"));
+  const std::size_t topk = a.num<std::size_t>("top", 10);
 
   DeviceProfile p = profileByName(a.get("device", "medium_partial"));
-  const Region strip = Region::columns(p.geometry, 0, 4);
 
   // Phase 1: fabric activity under real evaluation, on a dedicated device
   // so the campaign below starts from a blank fabric.
@@ -2554,12 +2422,13 @@ int profileCmd(const Args& a) {
     Compiler compiler(dev);
     ActivityProbe probe;
     dev.attachActivityProbe(&probe);
-    const int cycles = std::stoi(a.get("cycles", "256"));
-    Rng rng(std::stoull(a.get("seed", "7")));
-    const CompiledCircuit circuits[3] = {
-        compiler.compile(named(lib::makeCounter(6), "count"), strip),
-        compiler.compile(named(lib::makeChecksum(6), "csum"), strip),
-        compiler.compile(named(lib::makeLfsr(8, 0b10111000), "lfsr"), strip)};
+    const int cycles = a.num("cycles", 256);
+    Rng rng(a.num<std::uint64_t>("seed", 7));
+    std::vector<CompiledCircuit> circuits;
+    for (const Netlist& nl : campaignNetlists()) {
+      circuits.push_back(
+          compiler.compile(nl, Region::columns(p.geometry, 0, 4)));
+    }
     for (const CompiledCircuit& c : circuits) {
       dev.applyBitstream(c.fullBitstream());
       LoadedCircuit lc(dev, c);
@@ -2577,40 +2446,9 @@ int profileCmd(const Args& a) {
 
   // Phase 2: the heatmap campaign — scripted strip failures, scrubbing,
   // quarantine recovery — whose span tree feeds the waterfall/ledger.
-  fault::FaultPlanSpec spec;
-  spec.seed = std::stoull(a.get("seed", "7"));
-  spec.stripFailures = {{millis(2), 2}, {millis(5), 9}};
-  fault::FaultPlan plan(spec);
-
-  OsOptions opt;
-  opt.policy = FpgaPolicy::kPartitionedVariable;
-  opt.ft.plan = &plan;
-  opt.ft.scrubInterval = micros(500);
-  opt.ft.recovery = fault::RecoveryOptions{true, 4, micros(50)};
-  opt.ft.watchdogFactor = 4.0;
-
-  Device dev = p.makeDevice();
-  ConfigPort port(dev, p.port);
-  Compiler compiler(dev);
-  Simulation sim;
-  OsKernel kernel(sim, dev, port, compiler, opt);
-  const ConfigId cfgs[3] = {
-      kernel.registerConfig(
-          compiler.compile(named(lib::makeCounter(6), "count"), strip)),
-      kernel.registerConfig(
-          compiler.compile(named(lib::makeChecksum(6), "csum"), strip)),
-      kernel.registerConfig(
-          compiler.compile(named(lib::makeLfsr(8, 0b10111000), "lfsr"), strip)),
-  };
-  for (std::size_t i = 0; i < 6; ++i) {
-    TaskSpec t;
-    t.name = "pf" + std::to_string(i);
-    t.arrival = static_cast<SimTime>(i) * micros(200);
-    t.ops = {CpuBurst{micros(25)}, FpgaExec{cfgs[i % 3], 15000 + 4000 * i},
-             CpuBurst{micros(15)}};
-    kernel.addTask(std::move(t));
-  }
-  kernel.run();
+  StripFailureCampaign campaign(p, a.num<std::uint64_t>("seed", 7));
+  campaign.run("pf");
+  OsKernel& kernel = campaign.kernel;
 
   const std::vector<std::string> names = taskTrackNames(kernel);
   const obs::profile::WaterfallReport wf =
@@ -2624,11 +2462,9 @@ int profileCmd(const Args& a) {
   std::fprintf(stderr,
                "profile: %zu sites, %llu evals, %zu tasks, makespan %llu ns,"
                " critical %s, %s\n",
-               activity.siteCount(),
-               static_cast<unsigned long long>(activity.totalEvals()),
-               wf.tasks.size(),
-               static_cast<unsigned long long>(wf.makespanNs),
-               wf.total.criticalPhase(), complete ? "complete" : "INCOMPLETE");
+               activity.siteCount(), ull(activity.totalEvals()),
+               wf.tasks.size(), ull(wf.makespanNs), wf.total.criticalPhase(),
+               complete ? "complete" : "INCOMPLETE");
 
   std::string payload;
   if (flame) {
@@ -2693,9 +2529,9 @@ int benchTrendCmd(const Args& a) {
     std::fprintf(stderr, "error: %s: %s\n", baselinePath.c_str(), e.what());
     return 3;
   }
-  double tol = baseline.has("tolerance") ? baseline.at("tolerance").asNumber()
-                                         : 0.2;
-  if (a.has("tolerance")) tol = std::stod(a.get("tolerance"));
+  const double tol = a.num(
+      "tolerance",
+      baseline.has("tolerance") ? baseline.at("tolerance").asNumber() : 0.2);
 
   // Current values, flattened to "<sidecar-stem>/<metric>{labels}" keys
   // (gauges and counters; multi-field stats/histograms are skipped).
@@ -2803,10 +2639,8 @@ int benchTrendCmd(const Args& a) {
 /// Exit 0 iff every stage passes.
 int compiledCmd(const Args& a) {
   DeviceProfile p = profileByName(a.get("device", "medium_partial"));
-  const std::uint64_t seed = std::stoull(a.get("seed", "1"));
-  const std::uint32_t cycles =
-      static_cast<std::uint32_t>(std::stoull(a.get("cycles", "96")));
-  auto ull = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
+  const std::uint64_t seed = a.num<std::uint64_t>("seed", 1);
+  const auto cycles = a.num<std::uint32_t>("cycles", 96);
 
   char buf[512];
   std::string out;
@@ -2973,32 +2807,115 @@ int compiledCmd(const Args& a) {
   return fail ? 1 : 0;
 }
 
+/// The one list of commands: main dispatches on it and usage() prints
+/// it. Each '\n'-separated form of a synopsis is one usage line.
+struct Command {
+  const char* name;
+  const char* synopsis;
+  int (*run)(const Args&);
+};
+
+constexpr Command kCommands[] = {
+    {"list-circuits", "", listCircuits},
+    {"list-devices", "", listDevices},
+    {"info", "--device <name>", deviceInfo},
+    {"compile",
+     "(--circuit <name> | --netlist file.vnl) --device <name> [--width N]"
+     " [--no-optimize] [--out file.vfpb]",
+     compileCmd},
+    {"simulate",
+     "(--circuit <name> | --netlist file.vnl) --device <name> [--width N]"
+     " [--cycles N] [--seed N] [--vcd file.vcd]",
+     simulateCmd},
+    {"lint",
+     "(--circuit <name> | --netlist file.vnl | --all) [--device <name>]"
+     " [--width N] [--no-optimize] [--json]\n"
+     "--list-rules\n"
+     "--fix --netlist file.vnl [--out fixed.vnl]",
+     lintCmd},
+    {"equiv",
+     "(--circuit <name> | --netlist file.vnl | --all) [--device <name>]"
+     " [--width N] [--relocate] [--seed N] [--json] [--out file]",
+     equivCmd},
+    {"cluster",
+     "[--devices N] [--seed N] [--campaign ci|heal|stress]"
+     " [--policy first_fit|least_loaded|best_fit] [--format text|json]"
+     " [--out file]",
+     clusterCmd},
+    {"monitor",
+     "[--devices N] [--seed N] [--refresh N] [--format text|json|html]"
+     " [--out file]",
+     monitorCmd},
+    {"trace",
+     "(--circuit <name> | --netlist file.vnl) [--device <name>] [--width N]"
+     " [--format chrome|csv] [--validate] [--stream file.ndjson]"
+     " [--out file]\n"
+     "--from file.ndjson [--format chrome|csv] [--validate] [--out file]",
+     traceCmd},
+    {"report",
+     "[--device <name>] [--format prometheus|csv|json] [--min-names N]"
+     " [--links] [--stream file.ndjson] [--out file]",
+     reportCmd},
+    {"heatmap",
+     "[--device <name>] [--seed N] [--format csv|json|html] [--out file]",
+     heatmapCmd},
+    {"profile",
+     "[--device <name>] [--seed N] [--cycles N] [--top K] [--activity]"
+     " [--waterfall] [--ledger] [--format text|json|collapsed|speedscope]"
+     " [--out file]",
+     profileCmd},
+    {"faults",
+     "[--seed N] [--campaign ci|stress] [--out file] [--flight-dir dir]"
+     " [--stream file.ndjson]",
+     faultsCmd},
+    {"chaos",
+     "[--seed N] [--campaign ci|stress] [--dir dir] [--out file]"
+     " [--flight-dir dir]",
+     chaosCmd},
+    {"compiled", "[--device <name>] [--seed N] [--cycles N] [--out file]",
+     compiledCmd},
+    {"bench-trend",
+     "--baseline file.json [--dir dir] [--tolerance F] [--out trend.json]",
+     benchTrendCmd},
+};
+
+int usage() {
+  std::fprintf(stderr, "usage: vfpga_cli <command> [options]\n");
+  for (const Command& c : kCommands) {
+    std::string_view forms = c.synopsis;
+    for (;;) {
+      const std::size_t nl = forms.find('\n');
+      const std::string_view form = forms.substr(0, nl);
+      std::fprintf(stderr, "  %s%s%.*s\n", c.name, form.empty() ? "" : " ",
+                   static_cast<int>(form.size()), form.data());
+      if (nl == std::string_view::npos) break;
+      forms.remove_prefix(nl + 1);
+    }
+  }
+  std::fprintf(stderr,
+               "stream knobs: [--stream-ring N] [--stream-flush N]"
+               " [--stream-flush-ns N] [--stream-sample key=N[,key=N]]\n"
+               "exit codes: 0 success, 1 findings / runtime errors,"
+               " 2 usage, 3 export or validation failure\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = parse(argc, argv);
+  const auto args = parse(argc, argv);
   if (!args) return usage();
-  try {
-    if (args->command == "list-circuits") return listCircuits();
-    if (args->command == "list-devices") return listDevices();
-    if (args->command == "info") return deviceInfo(*args);
-    if (args->command == "compile") return compileCmd(*args);
-    if (args->command == "simulate") return simulateCmd(*args);
-    if (args->command == "lint") return lintCmd(*args);
-    if (args->command == "equiv") return equivCmd(*args);
-    if (args->command == "trace") return traceCmd(*args);
-    if (args->command == "report") return reportCmd(*args);
-    if (args->command == "heatmap") return heatmapCmd(*args);
-    if (args->command == "profile") return profileCmd(*args);
-    if (args->command == "faults") return faultsCmd(*args);
-    if (args->command == "chaos") return chaosCmd(*args);
-    if (args->command == "cluster") return clusterCmd(*args);
-    if (args->command == "monitor") return monitorCmd(*args);
-    if (args->command == "bench-trend") return benchTrendCmd(*args);
-    if (args->command == "compiled") return compiledCmd(*args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  for (const Command& c : kCommands) {
+    if (args->command != c.name) continue;
+    try {
+      return c.run(*args);
+    } catch (const UsageError& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
   return usage();
 }

@@ -7,6 +7,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "core/obs_bridge.hpp"
+#include "obs/json.hpp"
 
 namespace vfpga::cluster {
 
@@ -764,8 +765,9 @@ std::string ClusterScheduler::renderJsonReport() const {
   out += "  \"devices\": [\n";
   for (std::size_t d = 0; d < pool_->nodeCount(); ++d) {
     const DeviceNode& node = pool_->node(d);
-    out += "    {\"name\": \"" + node.name() + "\", \"profile\": \"" +
-           node.profile().name + "\", \"usable_columns\": " +
+    out += "    {\"name\": \"" + obs::jsonEscape(node.name()) +
+           "\", \"profile\": \"" + obs::jsonEscape(node.profile().name) +
+           "\", \"usable_columns\": " +
            u64(node.usableColumns()) + ", \"total_columns\": " +
            u64(node.profile().geometry.cols) + "}";
     out += d + 1 < pool_->nodeCount() ? ",\n" : "\n";
@@ -803,11 +805,13 @@ std::string ClusterScheduler::renderJsonReport() const {
                           : o.completed ? "completed"
                           : o.parked ? "parked"
                                      : "incomplete";
-    out += "    {\"name\": \"" + o.name + "\", \"submit_ns\": " +
-           u64(o.submitAt) + ", \"wait_ns\": " + u64(o.queueWaitNs) +
+    out += "    {\"name\": \"" + obs::jsonEscape(o.name) +
+           "\", \"submit_ns\": " + u64(o.submitAt) +
+           ", \"wait_ns\": " + u64(o.queueWaitNs) +
            ", \"finish_ns\": " + u64(o.finishNs) + ", \"device\": \"" +
-           o.device + "\", \"migrations\": " + u64(o.migrations) +
-           ", \"outcome\": \"" + outcome + "\"}";
+           obs::jsonEscape(o.device) + "\", \"migrations\": " +
+           u64(o.migrations) + ", \"outcome\": \"" +
+           obs::jsonEscape(outcome) + "\"}";
     out += i + 1 < outcomes_.size() ? ",\n" : "\n";
   }
   out += "  ]\n";

@@ -237,6 +237,13 @@ CompiledCircuit Compiler::compileMapped(const MappedNetlist& mapped,
     recordPhase("route", name, tRoute,
                 {{"attempt", std::to_string(attempt + 1)},
                  {"ok", routed ? "true" : "false"}});
+    if (flowMetrics_ != nullptr) {
+      flowMetrics_
+          ->counter("vfpga_flow_attempts_total",
+                    {{"outcome", routed ? "routed" : "unrouted"}},
+                    "Place-and-route attempts by outcome")
+          .inc();
+    }
     if (!routed) {
       lastError = CompileError(name + ": routing failed (attempt " +
                                std::to_string(attempt + 1) + ")");

@@ -136,7 +136,8 @@ class Compiler {
   /// detach). With a tracer, every compile emits wall-clock spans per phase
   /// (synth, techmap, place, route, bitstream) plus an enclosing `compile`
   /// span; with a registry, each phase's wall time is observed into the
-  /// `vfpga_flow_<phase>_ns` stats family.
+  /// `vfpga_flow_<phase>_ns` stats family and every place-and-route attempt
+  /// is counted in `vfpga_flow_attempts_total{outcome="routed"|"unrouted"}`.
   void setObservers(obs::SpanTracer* tracer, obs::MetricsRegistry* registry) {
     tracer_ = tracer;
     flowMetrics_ = registry;

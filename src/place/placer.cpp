@@ -21,75 +21,89 @@ CellSite portAnchor(const Region& r, std::size_t portIndex, bool isInput,
   return {std::min<std::uint16_t>(x, r.x1()), y};
 }
 
-/// Incremental-cost engine shared by place() and placementCost().
+/// Cost engine shared by place() and placementCost(). Each live net keeps a
+/// flat list of the cells it touches plus the fixed bounding box of its
+/// port anchors, so a net's HPWL depends only on its cells' sites.
 class CostModel {
  public:
   CostModel(const MappedNetlist& m, const Region& region)
-      : m_(&m), region_(region), sinks_(m.computeSinks()),
-        netsOfCell_(m.cells.size()) {
+      : netsOfCell_(m.cells.size()) {
+    const auto sinks = m.computeSinks();
+    netStart_.push_back(0);
     for (NetId n = 0; n < m.netCount(); ++n) {
-      const auto& s = sinks_[n];
+      const auto& s = sinks[n];
       if (s.cellPins.empty() && s.outputPorts.empty()) continue;
-      live_.push_back(n);
-      if (!m.netIsInput(n)) addCellNet(m.cellOfNet(n), n);
+      const auto net = static_cast<std::uint32_t>(anchors_.size());
+      Box anchors;
+      if (m.netIsInput(n)) {
+        anchors.grow(portAnchor(region, n, true, m.inputs.size()));
+      } else {
+        addCell(net, m.cellOfNet(n));
+      }
       for (auto [cell, pin] : s.cellPins) {
         (void)pin;
-        addCellNet(cell, n);
+        addCell(net, cell);
       }
+      for (std::uint32_t o : s.outputPorts) {
+        anchors.grow(portAnchor(region, o, false, m.outputs.size()));
+      }
+      anchors_.push_back(anchors);
+      netStart_.push_back(static_cast<std::uint32_t>(cells_.size()));
     }
   }
 
-  double netCost(NetId n, const std::vector<CellSite>& sites) const {
-    int minX = 1 << 30, maxX = -(1 << 30), minY = 1 << 30, maxY = -(1 << 30);
-    auto grow = [&](CellSite site) {
-      minX = std::min(minX, static_cast<int>(site.x));
-      maxX = std::max(maxX, static_cast<int>(site.x));
-      minY = std::min(minY, static_cast<int>(site.y));
-      maxY = std::max(maxY, static_cast<int>(site.y));
-    };
-    if (m_->netIsInput(n)) {
-      grow(portAnchor(region_, n, true, m_->inputs.size()));
-    } else {
-      grow(sites[m_->cellOfNet(n)]);
-    }
-    const auto& s = sinks_[n];
-    for (auto [cell, pin] : s.cellPins) {
-      (void)pin;
-      grow(sites[cell]);
-    }
-    for (std::uint32_t o : s.outputPorts) {
-      grow(portAnchor(region_, o, false, m_->outputs.size()));
-    }
-    return (maxX - minX) + (maxY - minY);
+  std::uint32_t netCount() const {
+    return static_cast<std::uint32_t>(anchors_.size());
   }
 
-  double totalCost(const std::vector<CellSite>& sites) const {
-    double cost = 0.0;
-    for (NetId n : live_) cost += netCost(n, sites);
+  /// HPWL of live net `net` (an index in [0, netCount())).
+  std::int32_t netCost(std::uint32_t net,
+                       const std::vector<CellSite>& sites) const {
+    Box b = anchors_[net];
+    for (std::uint32_t i = netStart_[net]; i < netStart_[net + 1]; ++i) {
+      b.grow(sites[cells_[i]]);
+    }
+    return (b.maxX - b.minX) + (b.maxY - b.minY);
+  }
+
+  std::int64_t totalCost(const std::vector<CellSite>& sites) const {
+    std::int64_t cost = 0;
+    for (std::uint32_t n = 0; n < netCount(); ++n) cost += netCost(n, sites);
     return cost;
   }
 
-  const std::vector<NetId>& netsOfCell(std::uint32_t c) const {
+  const std::vector<std::uint32_t>& netsOfCell(std::uint32_t c) const {
     return netsOfCell_[c];
   }
 
  private:
-  void addCellNet(std::size_t cell, NetId n) {
+  struct Box {
+    std::int32_t minX = 1 << 30, maxX = -(1 << 30);
+    std::int32_t minY = 1 << 30, maxY = -(1 << 30);
+    void grow(CellSite site) {
+      minX = std::min<std::int32_t>(minX, site.x);
+      maxX = std::max<std::int32_t>(maxX, site.x);
+      minY = std::min<std::int32_t>(minY, site.y);
+      maxY = std::max<std::int32_t>(maxY, site.y);
+    }
+  };
+
+  void addCell(std::uint32_t net, std::uint32_t cell) {
+    cells_.push_back(cell);
     auto& v = netsOfCell_[cell];
-    if (v.empty() || v.back() != n) v.push_back(n);
+    if (v.empty() || v.back() != net) v.push_back(net);
   }
 
-  const MappedNetlist* m_;
-  Region region_;
-  std::vector<MappedNetlist::NetSinks> sinks_;
-  std::vector<NetId> live_;
-  std::vector<std::vector<NetId>> netsOfCell_;
+  std::vector<Box> anchors_;               ///< per live net
+  std::vector<std::uint32_t> netStart_;    ///< CSR offsets into cells_
+  std::vector<std::uint32_t> cells_;
+  std::vector<std::vector<std::uint32_t>> netsOfCell_;
 };
 
 }  // namespace
 
 double placementCost(const MappedNetlist& m, const Placement& p) {
-  return CostModel(m, p.region).totalCost(p.sites);
+  return static_cast<double>(CostModel(m, p.region).totalCost(p.sites));
 }
 
 Placement place(const MappedNetlist& m, const Region& region, Rng& rng,
@@ -123,13 +137,28 @@ Placement place(const MappedNetlist& m, const Region& region, Rng& rng,
   }
 
   CostModel model(m, region);
-  double cost = model.totalCost(p.sites);
   if (m.cells.size() <= 1 || sites.size() <= 1) {
-    p.finalCost = cost;
+    p.finalCost = static_cast<double>(model.totalCost(p.sites));
     return p;
   }
 
-  std::vector<NetId> touched;
+  // Exact per-net HPWL cache: a move re-evaluates only the nets of the
+  // cells it swaps. Costs are integers, so every sum is exact in any order.
+  std::vector<std::int32_t> hpwl(model.netCount());
+  for (std::uint32_t n = 0; n < model.netCount(); ++n) {
+    hpwl[n] = model.netCost(n, p.sites);
+  }
+  std::vector<std::uint32_t> touched;
+  std::vector<std::int32_t> moved;  ///< post-swap HPWL of each touched net
+  std::vector<std::uint32_t> touchStamp(model.netCount(), 0);
+  std::uint32_t stamp = 0;
+  auto touch = [&](std::uint32_t cell) {
+    for (std::uint32_t n : model.netsOfCell(cell)) {
+      if (touchStamp[n] == stamp) continue;
+      touchStamp[n] = stamp;
+      touched.push_back(n);
+    }
+  };
   // Attempts one move; returns the (applied) cost delta, 0 if rejected.
   auto tryMove = [&](bool forceAccept, double T) -> double {
     const std::uint32_t c =
@@ -140,18 +169,16 @@ Placement place(const MappedNetlist& m, const Region& region, Rng& rng,
     if (target == from) return 0.0;
     const std::int32_t other = occupant[target];
 
-    touched.clear();
-    for (NetId n : model.netsOfCell(c)) touched.push_back(n);
-    if (other >= 0) {
-      for (NetId n : model.netsOfCell(static_cast<std::uint32_t>(other))) {
-        touched.push_back(n);
-      }
+    if (++stamp == 0) {  // wrapped: forget every old mark
+      std::fill(touchStamp.begin(), touchStamp.end(), 0);
+      stamp = 1;
     }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    touched.clear();
+    touch(c);
+    if (other >= 0) touch(static_cast<std::uint32_t>(other));
 
-    double before = 0.0;
-    for (NetId n : touched) before += model.netCost(n, p.sites);
+    std::int64_t before = 0;
+    for (std::uint32_t n : touched) before += hpwl[n];
 
     auto swapSites = [&]() {
       occupant[from] = other;
@@ -165,14 +192,20 @@ Placement place(const MappedNetlist& m, const Region& region, Rng& rng,
     };
     swapSites();
 
-    double after = 0.0;
-    for (NetId n : touched) after += model.netCost(n, p.sites);
-    const double delta = after - before;
+    moved.clear();
+    std::int64_t after = 0;
+    for (std::uint32_t n : touched) {
+      moved.push_back(model.netCost(n, p.sites));
+      after += moved.back();
+    }
+    const double delta = static_cast<double>(after - before);
 
     bool keep = forceAccept || delta <= 0 ||
                 (T > 0 && rng.uniform() < std::exp(-delta / T));
     if (keep) {
-      cost += delta;
+      for (std::size_t i = 0; i < touched.size(); ++i) {
+        hpwl[touched[i]] = moved[i];
+      }
       return delta;
     }
     // Revert.
@@ -203,7 +236,7 @@ Placement place(const MappedNetlist& m, const Region& region, Rng& rng,
   // Greedy cleanup pass at T = 0.
   for (std::uint64_t i = 0; i < movesPerTemp; ++i) tryMove(false, 0.0);
 
-  p.finalCost = model.totalCost(p.sites);
+  p.finalCost = static_cast<double>(model.totalCost(p.sites));
   return p;
 }
 

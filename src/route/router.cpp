@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <queue>
+#include <functional>
 #include <stdexcept>
 
 namespace vfpga {
@@ -53,8 +53,20 @@ std::optional<RouteResult> Router::routeAll(
   const std::size_t N = rrg_->nodeCount();
   for (const RouteRequest& r : requests) {
     if (r.source == kNoRRNode || !nodeAllowed(r.source)) return std::nullopt;
+    // The search enters a sink only from a node it may expand: an allowed
+    // non-pad node or the net's own source. A sink without such an in-edge
+    // is unreachable, so fail now instead of after exploring the region.
+    auto expandable = [&](RREdgeId e) {
+      const RRNodeId from = rrg_->edge(e).from;
+      return from == r.source || (nodeAllowed(from) &&
+                                  rrg_->node(from).kind != RRKind::kPadSlot);
+    };
     for (RRNodeId s : r.sinks) {
       if (s == kNoRRNode || !nodeAllowed(s)) return std::nullopt;
+      const auto in = rrg_->edgesInto(s);
+      if (s != r.source && std::none_of(in.begin(), in.end(), expandable)) {
+        return std::nullopt;
+      }
     }
   }
 
@@ -71,6 +83,14 @@ std::optional<RouteResult> Router::routeAll(
   std::vector<RREdgeId> cameBy(N, 0);
   std::vector<char> inTree(N, 0);
   std::uint32_t version = 0;
+  // A* open list: a binary min-heap kept in one buffer reused by every
+  // search (the same push_heap/pop_heap order std::priority_queue uses).
+  std::vector<QueueEntry> open;
+  const std::greater<> later;
+  auto push = [&](QueueEntry e) {
+    open.push_back(e);
+    std::push_heap(open.begin(), open.end(), later);
+  };
 
   auto nodeCost = [&](RRNodeId n, int netUse) -> double {
     // netUse: this net's own current usage of n (free to reuse own tree).
@@ -86,29 +106,30 @@ std::optional<RouteResult> Router::routeAll(
       RoutedNet& net = result.nets[ni];
       // Rip up the previous route of this net.
       for (RRNodeId n : net.nodes) --occupancy[n];
-      net = RoutedNet{};
+      net.edges.clear();
+      net.nodes.clear();
+      net.sinkHops.clear();
 
-      // Route tree starts at the source.
-      std::vector<RRNodeId> tree{req.source};
+      // Route tree (net.nodes) starts at the source.
       net.nodes.push_back(req.source);
       ++occupancy[req.source];
 
       for (RRNodeId sink : req.sinks) {
         // A* from the whole current tree to the sink.
         ++version;
-        std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                            std::greater<>> open;
-        for (RRNodeId t : tree) {
+        open.clear();
+        for (RRNodeId t : net.nodes) {
           visitVersion[t] = version;
           bestCost[t] = 0.0;
           inTree[t] = 1;
-          open.push(QueueEntry{
-              options.astarWeight * distanceBound(*rrg_, t, sink), 0.0, t});
+          push(QueueEntry{options.astarWeight * distanceBound(*rrg_, t, sink),
+                          0.0, t});
         }
         bool found = false;
         while (!open.empty()) {
-          const QueueEntry e = open.top();
-          open.pop();
+          std::pop_heap(open.begin(), open.end(), later);
+          const QueueEntry e = open.back();
+          open.pop_back();
           if (visitVersion[e.node] == version && e.cost > bestCost[e.node]) {
             continue;  // stale entry
           }
@@ -134,16 +155,15 @@ std::optional<RouteResult> Router::routeAll(
             }
             // In greedy mode a node used by another net is simply blocked.
             if (options.greedy && occupancy[to] > 0 && to != sink) continue;
+            const bool seen = visitVersion[to] == version;
+            if (seen && inTree[to]) continue;
             const double c = e.cost + nodeCost(to, 0);
-            if (visitVersion[to] == version &&
-                (inTree[to] || c >= bestCost[to])) {
-              continue;
-            }
-            if (visitVersion[to] != version) inTree[to] = 0;
+            if (seen && c >= bestCost[to]) continue;
+            if (!seen) inTree[to] = 0;
             visitVersion[to] = version;
             bestCost[to] = c;
             cameBy[to] = eid;
-            open.push(QueueEntry{
+            push(QueueEntry{
                 c + options.astarWeight * distanceBound(*rrg_, to, sink), c,
                 to});
           }
@@ -168,22 +188,18 @@ std::optional<RouteResult> Router::routeAll(
           if (visitVersion[cur] == version && inTree[cur]) break;
         }
         net.sinkHops.push_back(hops);
-        // Grow the tree with the new branch.
-        for (RRNodeId n : net.nodes) {
-          if (visitVersion[n] != version) {
-            visitVersion[n] = version;
-            bestCost[n] = 0.0;
-          }
-          inTree[n] = 1;
-        }
-        tree = net.nodes;
       }
     }
 
-    // Legality check and history update.
+    // Legality check and history update. Only nodes some net occupies can
+    // be overused, so scan the nets' nodes, each overused node once (a fresh
+    // version stamps the ones already charged).
     bool legal = true;
-    for (RRNodeId n = 0; n < N; ++n) {
-      if (occupancy[n] > 1) {
+    ++version;
+    for (const RoutedNet& net : result.nets) {
+      for (RRNodeId n : net.nodes) {
+        if (occupancy[n] <= 1 || visitVersion[n] == version) continue;
+        visitVersion[n] = version;
         legal = false;
         history[n] += options.historyIncrement * (occupancy[n] - 1);
       }

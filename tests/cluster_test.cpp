@@ -16,6 +16,7 @@
 #include "core/strip_allocator.hpp"
 #include "netlist/library/coding.hpp"
 #include "netlist/library/control.hpp"
+#include "obs/json.hpp"
 #include "sim/rng.hpp"
 
 namespace vfpga {
@@ -310,6 +311,8 @@ struct CampaignConfig {
   std::size_t jobs = 12;
   cluster::ClusterOptions options;
   std::vector<fault::StripFailureEvent> dev1Failures;
+  std::string devicePrefix = "dev";  ///< device i is named prefix + i
+  std::string jobPrefix = "t";       ///< job j is named prefix + j
 };
 
 struct CampaignRun {
@@ -325,7 +328,7 @@ std::unique_ptr<CampaignRun> runCampaign(const CampaignConfig& cfg) {
   auto run = std::make_unique<CampaignRun>();
   std::vector<cluster::DeviceNodeSpec> specs(cfg.devices);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    specs[i].name = "dev" + std::to_string(i);
+    specs[i].name = cfg.devicePrefix + std::to_string(i);
     specs[i].profile = mediumPartialProfile();
     if (i == 1 && !cfg.dev1Failures.empty()) {
       specs[i].faulty = true;
@@ -343,7 +346,7 @@ std::unique_ptr<CampaignRun> runCampaign(const CampaignConfig& cfg) {
   Rng rng(5);
   for (std::size_t j = 0; j < cfg.jobs; ++j) {
     cluster::ClusterJobSpec job;
-    job.name = "t" + std::to_string(j);
+    job.name = cfg.jobPrefix + std::to_string(j);
     job.submitAt =
         static_cast<SimTime>(j) * micros(80) + rng.below(micros(40));
     job.priority = static_cast<int>(rng.below(2));
@@ -365,6 +368,27 @@ TEST(ClusterScheduler, SameSeedByteIdenticalReports) {
   EXPECT_EQ(a->sched->renderReport(), b->sched->renderReport());
   EXPECT_EQ(a->sched->renderJsonReport(), b->sched->renderJsonReport());
   EXPECT_FALSE(a->sched->renderReport().empty());
+}
+
+TEST(ClusterScheduler, JsonReportEscapesNames) {
+  CampaignConfig cfg;
+  cfg.devices = 2;
+  cfg.jobs = 3;
+  cfg.devicePrefix = "d\"q\\\n";
+  cfg.jobPrefix = "j\"\\\n";
+  auto run = runCampaign(cfg);
+  const obs::JsonValue report =
+      obs::JsonValue::parse(run->sched->renderJsonReport());
+  const auto& devices = report.at("devices").asArray();
+  ASSERT_EQ(devices.size(), 2u);
+  EXPECT_EQ(devices[1].at("name").asString(), "d\"q\\\n1");
+  const auto& jobs = report.at("jobs").asArray();
+  ASSERT_EQ(jobs.size(), 3u);
+  EXPECT_EQ(jobs[2].at("name").asString(), "j\"\\\n2");
+  for (const auto& job : jobs) {
+    const std::string& device = job.at("device").asString();
+    EXPECT_TRUE(device == "d\"q\\\n0" || device == "d\"q\\\n1") << device;
+  }
 }
 
 TEST(ClusterScheduler, BackpressureRejectsBeyondQueueDepth) {

@@ -15,8 +15,11 @@
 #include "netlist/library/datapath.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
+#include "sim/hash.hpp"
 #include "sim/rng.hpp"
 #include "techmap/lut_mapper.hpp"
+#include "workloads/app_circuits.hpp"
+#include "workloads/compile_suite.hpp"
 
 namespace vfpga {
 namespace {
@@ -139,6 +142,111 @@ TEST(Router, SharedTreeNodesAppearOncePerNet) {
   std::set<RRNodeId> nodes(result->nets[0].nodes.begin(),
                            result->nets[0].nodes.end());
   EXPECT_EQ(nodes.size(), result->nets[0].nodes.size());
+}
+
+/// Column-strip mask [c0, c1]; relocatable masks also drop the device's
+/// rightmost vertical channel and the west/east pads, as the compiler does.
+std::vector<char> stripMask(const RoutingGraph& rrg, std::uint16_t c0,
+                            std::uint16_t c1, bool relocatable) {
+  std::vector<char> mask = columnRangeMask(rrg, c0, c1);
+  if (!relocatable) return mask;
+  const FabricGeometry& g = rrg.geometry();
+  for (RRNodeId n = 0; n < rrg.nodeCount(); ++n) {
+    const RRNode& node = rrg.node(n);
+    if (node.kind == RRKind::kWireV && node.x == g.cols) mask[n] = 0;
+    if (node.kind == RRKind::kPadSlot) {
+      const PadSide side = padLocation(g, node.pad).side;
+      if (side == PadSide::kWest || side == PadSide::kEast) mask[n] = 0;
+    }
+  }
+  return mask;
+}
+
+/// Reachability oracle under the router's rules: only allowed nodes are
+/// entered, and pad slots other than the source are endpoints that are
+/// never routed through.
+bool allSinksReachable(const RoutingGraph& rrg, const std::vector<char>& mask,
+                       const RouteRequest& req) {
+  std::vector<char> seen(rrg.nodeCount(), 0);
+  std::vector<RRNodeId> stack{req.source};
+  seen[req.source] = 1;
+  while (!stack.empty()) {
+    const RRNodeId n = stack.back();
+    stack.pop_back();
+    if (n != req.source && rrg.node(n).kind == RRKind::kPadSlot) continue;
+    for (RREdgeId e : rrg.edgesFrom(n)) {
+      const RRNodeId to = rrg.edge(e).to;
+      if (mask[to] && !seen[to]) {
+        seen[to] = 1;
+        stack.push_back(to);
+      }
+    }
+  }
+  return std::all_of(req.sinks.begin(), req.sinks.end(),
+                     [&](RRNodeId s) { return seen[s] != 0; });
+}
+
+TEST(Router, FailsExactlyWhenASinkIsUnreachable) {
+  for (const DeviceProfile& profile : {tinyProfile(), mediumPartialProfile()}) {
+    Device dev = profile.makeDevice();
+    const RoutingGraph& rrg = dev.rrg();
+    const FabricGeometry& g = rrg.geometry();
+    Rng rng(profile.geometry.cols);
+    int routed = 0, rejected = 0;
+    for (int trial = 0; trial < 80; ++trial) {
+      const auto c0 = static_cast<std::uint16_t>(rng.below(g.cols));
+      const auto c1 =
+          static_cast<std::uint16_t>(c0 + rng.below(g.cols - c0));
+      const std::vector<char> mask =
+          stripMask(rrg, c0, c1, rng.bernoulli(0.5));
+      // Terminals: allowed CLB pins and pad slots of the strip.
+      std::vector<RRNodeId> sources, sinks;
+      for (RRNodeId n = 0; n < rrg.nodeCount(); ++n) {
+        if (!mask[n]) continue;
+        const RRKind k = rrg.node(n).kind;
+        if (k == RRKind::kClbOut || k == RRKind::kPadSlot) sources.push_back(n);
+        if (k == RRKind::kClbIn || k == RRKind::kPadSlot) sinks.push_back(n);
+      }
+      RouteRequest req;
+      req.source = sources[rng.below(sources.size())];
+      const std::size_t fanout = 1 + rng.below(4);
+      for (std::size_t i = 0; i < fanout; ++i) {
+        req.sinks.push_back(sinks[rng.below(sinks.size())]);
+      }
+      RouteOptions opt;
+      opt.greedy = rng.bernoulli(0.5);
+      const bool reachable = allSinksReachable(rrg, mask, req);
+      Router router(rrg, mask);
+      const auto result = router.routeAll({req}, opt);
+      EXPECT_EQ(result.has_value(), reachable)
+          << profile.name << " trial " << trial << " strip [" << c0 << ", "
+          << c1 << "] source " << rrg.describe(req.source);
+      (reachable ? routed : rejected) += 1;
+    }
+    // Both outcomes must be exercised for the comparison to mean anything.
+    EXPECT_GT(routed, 0) << profile.name;
+    EXPECT_GT(rejected, 0) << profile.name;
+  }
+}
+
+TEST(Router, RejectsEastPinOfRelocatableStripsRightmostColumn) {
+  Device dev = mediumPartialProfile().makeDevice();
+  const RoutingGraph& rrg = dev.rrg();
+  const std::uint16_t x1 = 2;
+  const std::vector<char> mask = stripMask(rrg, 0, x1, true);
+  // Pin 3 listens only to the vertical channel east of column x1, which
+  // the next strip owns.
+  RouteRequest req;
+  req.source = rrg.clbOut(0, 1);
+  req.sinks = {rrg.clbIn(x1, 1, 3)};
+  for (RREdgeId e : rrg.edgesInto(req.sinks[0])) {
+    EXPECT_FALSE(mask[rrg.edge(e).from]);
+  }
+  Router router(rrg, mask);
+  EXPECT_FALSE(router.routeAll({req}).has_value());
+  // Pin 2 (west channel) of the same CLB routes.
+  req.sinks = {rrg.clbIn(x1, 1, 2)};
+  EXPECT_TRUE(router.routeAll({req}).has_value());
 }
 
 // ----------------------------------------------------------- full flow
@@ -410,6 +518,36 @@ TEST(Flow, StateSaveRestoreAcrossReconfiguration) {
   EXPECT_EQ(la2.outputBus("q", 6), 24u);
 }
 
+TEST(Flow, CountsPlaceAndRouteAttemptsByOutcome) {
+  Device dev = mediumPartialProfile().makeDevice();
+  Compiler compiler(dev);
+  obs::MetricsRegistry reg;
+  compiler.setObservers(nullptr, &reg);
+  // A narrow relocatable strip: many placements put a sink on the east pin
+  // of the strip's rightmost column, which cannot be routed there.
+  Netlist nl = lib::makeParityTree(8);
+  std::uint64_t compiled = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    CompileOptions opt;
+    opt.seed = seed;
+    try {
+      (void)compiler.compile(nl, Region::columns(dev.geometry(), 0, 2), opt);
+      ++compiled;
+    } catch (const CompileError&) {
+    }
+  }
+  const std::uint64_t routed =
+      reg.counter("vfpga_flow_attempts_total", {{"outcome", "routed"}})
+          .value();
+  const std::uint64_t unrouted =
+      reg.counter("vfpga_flow_attempts_total", {{"outcome", "unrouted"}})
+          .value();
+  EXPECT_EQ(routed, compiled);
+  EXPECT_GT(unrouted, 0u);
+  EXPECT_EQ(routed + unrouted,
+            reg.stats("vfpga_flow_place_ns").stats().count());
+}
+
 TEST(Flow, DeviceTimingMatchesDepth) {
   Device dev = tinyProfile().makeDevice();
   Compiler compiler(dev);
@@ -427,6 +565,44 @@ TEST(Flow, DeviceTimingMatchesDepth) {
   const SimDuration lower = c.mapped.depth() * dev.timing().lutDelay;
   EXPECT_GE(dev.criticalPathDelay(), lower);
   EXPECT_GT(dev.minClockPeriod(), dev.criticalPathDelay());
+}
+
+// ------------------------------------------------------- cross-commit golden
+
+// Pins the CAD flow's exact output across commits: every library circuit
+// compiled at its minimal relocatable width on two device profiles with
+// fixed seeds, hashing the configuration image, the router's iteration and
+// expansion counts and the placer's final cost (a failed compile hashes a
+// marker instead). A speed-up of the placer or router must leave this
+// constant unchanged; a change that moves any placement or route changes
+// it and must say so.
+TEST(Flow, LibraryCompileGoldenDigest) {
+  std::uint64_t h = hash::kFnvOffset;
+  for (const char* profile : {"medium_partial", "xc4000_partial"}) {
+    Device dev = profileByName(profile).makeDevice();
+    Compiler compiler(dev);
+    for (const workloads::AppCircuit& ac : workloads::allSuites()) {
+      const std::uint16_t w =
+          workloads::minimalStripWidth(compiler, ac.netlist, 1);
+      h = hash::fnv1aU64(h, w);
+      for (std::uint64_t seed : {1, 2}) {
+        CompileOptions opt;
+        opt.seed = seed;
+        try {
+          const CompiledCircuit c = compiler.compile(
+              ac.netlist, Region::columns(dev.geometry(), 0, w), opt);
+          h = hash::fnv1a(h, c.image.raw());
+          h = hash::fnv1aU64(h, static_cast<std::uint64_t>(c.routes.iterations));
+          h = hash::fnv1aU64(h, c.routes.nodesExpanded);
+          h = hash::fnv1aU64(
+              h, static_cast<std::uint64_t>(c.placement.finalCost));
+        } catch (const CompileError&) {
+          h = hash::fnv1aU64(h, ~std::uint64_t{0});
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x9009054fa427b564ull) << std::hex << "0x" << h;
 }
 
 }  // namespace

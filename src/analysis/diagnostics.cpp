@@ -343,35 +343,22 @@ std::string Report::renderText() const {
 }
 
 std::string Report::renderJson() const {
-  std::string out = "{\"diagnostics\":[";
-  bool first = true;
+  std::string out;
+  obs::JsonWriter w(out);
+  w.beginObject().key("diagnostics").beginArray();
   for (const Diagnostic& d : diagnostics_) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"rule\":\"";
-    out += obs::jsonEscape(d.rule);
-    out += "\",\"severity\":\"";
-    out += severityName(d.severity);
-    out += "\",\"message\":\"";
-    out += obs::jsonEscape(d.message);
-    out += "\",\"location\":{\"kind\":\"";
-    out += locationKindName(d.location.kind);
-    out += "\",\"index\":" + std::to_string(d.location.index);
-    out += ",\"x\":" + std::to_string(d.location.x);
-    out += ",\"y\":" + std::to_string(d.location.y);
-    out += ",\"detail\":\"";
-    out += obs::jsonEscape(d.location.detail);
-    out += "\"},\"notes\":[";
-    for (std::size_t i = 0; i < d.notes.size(); ++i) {
-      if (i) out += ",";
-      out += "\"";
-      out += obs::jsonEscape(d.notes[i]);
-      out += "\"";
-    }
-    out += "]}";
+    w.beginObject().key("rule").value(d.rule).key("severity")
+        .value(severityName(d.severity)).key("message").value(d.message)
+        .key("location").beginObject().key("kind")
+        .value(locationKindName(d.location.kind)).key("index")
+        .value(d.location.index).key("x").value(d.location.x).key("y")
+        .value(d.location.y).key("detail").value(d.location.detail)
+        .endObject().key("notes").beginArray();
+    for (const std::string& n : d.notes) w.value(n);
+    w.endArray().endObject();
   }
-  out += "],\"errors\":" + std::to_string(errors_);
-  out += ",\"warnings\":" + std::to_string(warnings_) + "}";
+  w.endArray().key("errors").value(errors_).key("warnings").value(warnings_)
+      .endObject();
   return out;
 }
 

@@ -759,63 +759,55 @@ std::string ClusterScheduler::renderReport() const {
 std::string ClusterScheduler::renderJsonReport() const {
   const Summary& s = summary_;
   const BitstreamCacheStats& cs = pool_->cache().stats();
-  std::string out = "{\n";
-  out += "  \"policy\": \"" + std::string(placementPolicyName(
-                                  options_.placement)) + "\",\n";
-  out += "  \"devices\": [\n";
+  std::string out;
+  obs::JsonWriter w(out, obs::JsonWriter::Style::kSpaced);
+  w.beginObject().newline("  ").key("policy")
+      .value(placementPolicyName(options_.placement)).newline("  ")
+      .key("devices").beginArray();
   for (std::size_t d = 0; d < pool_->nodeCount(); ++d) {
     const DeviceNode& node = pool_->node(d);
-    out += "    {\"name\": \"" + obs::jsonEscape(node.name()) +
-           "\", \"profile\": \"" + obs::jsonEscape(node.profile().name) +
-           "\", \"usable_columns\": " +
-           u64(node.usableColumns()) + ", \"total_columns\": " +
-           u64(node.profile().geometry.cols) + "}";
-    out += d + 1 < pool_->nodeCount() ? ",\n" : "\n";
+    w.newline("    ").beginObject().key("name").value(node.name())
+        .key("profile").value(node.profile().name).key("usable_columns")
+        .value(node.usableColumns()).key("total_columns")
+        .value(node.profile().geometry.cols).endObject();
   }
-  out += "  ],\n";
-  out += "  \"summary\": {\n";
-  out += "    \"submitted\": " + u64(s.submitted) + ",\n";
-  out += "    \"admitted\": " + u64(s.admitted) + ",\n";
-  out += "    \"rejected\": " + u64(s.rejected) + ",\n";
-  out += "    \"completed\": " + u64(s.completed) + ",\n";
-  out += "    \"parked\": " + u64(s.parked) + ",\n";
-  out += "    \"migrations_drain\": " + u64(s.migrationsDrain) + ",\n";
-  out += "    \"migrations_rebalance\": " + u64(s.migrationsRebalance) +
-         ",\n";
-  out += "    \"cache_compiles\": " + u64(cs.compiles) + ",\n";
-  out += "    \"cache_hits\": " + u64(cs.hits) + ",\n";
-  out += "    \"cache_misses\": " + u64(cs.misses) + ",\n";
-  out += "    \"cache_evictions\": " + u64(cs.evictions) + ",\n";
-  out += "    \"cache_unique_digests\": " + u64(cs.uniqueDigests) + ",\n";
-  out += "    \"cache_hit_rate\": " + fixed4(pool_->cache().hitRate()) +
-         ",\n";
-  out += "    \"p50_queue_wait_ns\": " + u64(s.p50QueueWaitNs) + ",\n";
-  out += "    \"p99_queue_wait_ns\": " + u64(s.p99QueueWaitNs) + ",\n";
-  out += "    \"makespan_ns\": " + u64(s.makespanNs) + ",\n";
-  out += "    \"throughput_jobs_per_sec\": " +
-         fixed4(s.throughputJobsPerSec) + ",\n";
-  out += "    \"rejected_fraction\": " + fixed4(s.rejectedFraction) + ",\n";
-  out += "    \"slos_met\": ";
-  out += s.slosMet ? "true" : "false";
-  out += "\n  },\n";
-  out += "  \"jobs\": [\n";
-  for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-    const ClusterJobOutcome& o = outcomes_[i];
+  w.newline("  ").endArray().newline("  ").key("summary").beginObject();
+  const auto field = [&w](const char* name) -> obs::JsonWriter& {
+    return w.newline("    ").key(name);
+  };
+  field("submitted").value(s.submitted);
+  field("admitted").value(s.admitted);
+  field("rejected").value(s.rejected);
+  field("completed").value(s.completed);
+  field("parked").value(s.parked);
+  field("migrations_drain").value(s.migrationsDrain);
+  field("migrations_rebalance").value(s.migrationsRebalance);
+  field("cache_compiles").value(cs.compiles);
+  field("cache_hits").value(cs.hits);
+  field("cache_misses").value(cs.misses);
+  field("cache_evictions").value(cs.evictions);
+  field("cache_unique_digests").value(cs.uniqueDigests);
+  field("cache_hit_rate").token(fixed4(pool_->cache().hitRate()));
+  field("p50_queue_wait_ns").value(s.p50QueueWaitNs);
+  field("p99_queue_wait_ns").value(s.p99QueueWaitNs);
+  field("makespan_ns").value(s.makespanNs);
+  field("throughput_jobs_per_sec").token(fixed4(s.throughputJobsPerSec));
+  field("rejected_fraction").token(fixed4(s.rejectedFraction));
+  field("slos_met").value(s.slosMet);
+  w.newline("  ").endObject().newline("  ").key("jobs").beginArray();
+  for (const ClusterJobOutcome& o : outcomes_) {
     const char* outcome = !o.admitted ? "rejected"
                           : o.completed ? "completed"
                           : o.parked ? "parked"
                                      : "incomplete";
-    out += "    {\"name\": \"" + obs::jsonEscape(o.name) +
-           "\", \"submit_ns\": " + u64(o.submitAt) +
-           ", \"wait_ns\": " + u64(o.queueWaitNs) +
-           ", \"finish_ns\": " + u64(o.finishNs) + ", \"device\": \"" +
-           obs::jsonEscape(o.device) + "\", \"migrations\": " +
-           u64(o.migrations) + ", \"outcome\": \"" +
-           obs::jsonEscape(outcome) + "\"}";
-    out += i + 1 < outcomes_.size() ? ",\n" : "\n";
+    w.newline("    ").beginObject().key("name").value(o.name)
+        .key("submit_ns").value(o.submitAt).key("wait_ns")
+        .value(o.queueWaitNs).key("finish_ns").value(o.finishNs)
+        .key("device").value(o.device).key("migrations").value(o.migrations)
+        .key("outcome").value(outcome).endObject();
   }
-  out += "  ]\n";
-  out += "}\n";
+  w.newline("  ").endArray().newline().endObject();
+  out += '\n';
   return out;
 }
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
-#include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -14,42 +13,23 @@ namespace vfpga::obs {
 
 namespace {
 
-std::string fmtDouble(double v) {
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (std::isnan(v)) return "NaN";
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
-
 /// trace_event timestamps are microseconds; keep sub-ns precision.
-std::string tsMicros(std::uint64_t ns) {
-  return fmtDouble(static_cast<double>(ns) / 1000.0);
-}
+double micros(std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
 
 /// Keys render sorted: a span replayed from an NDJSON stream round-trips
 /// its attributes through a key-sorted JSON object, so the live render
 /// must use the same order to stay byte-identical with the replay.
-void appendArgs(std::string& out, const AttrList& attrs,
-                const AttrList& extra = {}) {
+void writeArgs(JsonWriter& w, const AttrList& attrs,
+               const AttrList& extra = {}) {
   AttrList merged = attrs;
   merged.insert(merged.end(), extra.begin(), extra.end());
   std::stable_sort(merged.begin(), merged.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
                    });
-  out += "\"args\":{";
-  bool first = true;
-  for (const auto& [k, v] : merged) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += jsonEscape(k);
-    out += "\":\"";
-    out += jsonEscape(v);
-    out += '"';
-  }
-  out += '}';
+  w.key("args").beginObject();
+  for (const auto& [k, v] : merged) w.key(k).value(v);
+  w.endObject();
 }
 
 /// span_id / links render as args (string values), keeping the trace_event
@@ -68,72 +48,66 @@ AttrList linkArgs(const SpanRecord& s) {
   return extra;
 }
 
-void appendMetaEvent(std::string& out, bool& first, int pid,
-                     const std::string& processName) {
-  if (!first) out += ",\n";
-  first = false;
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(pid) +
-         ",\"tid\":0,\"args\":{\"name\":\"" + jsonEscape(processName) +
-         "\"}}";
+/// Opens one event object on its own line: name, category, phase.
+JsonWriter& beginEvent(JsonWriter& w, std::string_view name,
+                       std::string_view category, const char* phase) {
+  return w.newline().beginObject().key("name").value(name).key("cat")
+      .value(category).key("ph").value(phase);
 }
 
-void appendSpans(std::string& out, bool& first, int pid,
-                 const SpanTracer& tracer) {
+void writeMetaEvent(JsonWriter& w, int pid, const std::string& processName) {
+  w.newline().beginObject().key("name").value("process_name").key("ph")
+      .value("M").key("pid").value(pid).key("tid").value(0).key("args")
+      .beginObject().key("name").value(processName).endObject().endObject();
+}
+
+void writeSpans(JsonWriter& w, int pid, const SpanTracer& tracer) {
   for (const SpanRecord& s : tracer.spans()) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"name\":\"" + jsonEscape(s.name) + "\",\"cat\":\"" +
-           jsonEscape(s.category) + "\",\"ph\":\"X\",\"ts\":" +
-           tsMicros(s.startNs) + ",\"dur\":" + tsMicros(s.durationNs) +
-           ",\"pid\":" + std::to_string(pid) +
-           ",\"tid\":" + std::to_string(s.track) + ",";
-    appendArgs(out, s.attributes, linkArgs(s));
-    out += '}';
+    beginEvent(w, s.name, s.category, "X").key("ts").value(micros(s.startNs))
+        .key("dur").value(micros(s.durationNs)).key("pid").value(pid)
+        .key("tid").value(s.track);
+    writeArgs(w, s.attributes, linkArgs(s));
+    w.endObject();
   }
   for (const InstantRecord& i : tracer.instants()) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"name\":\"" + jsonEscape(i.name) + "\",\"cat\":\"" +
-           jsonEscape(i.category) + "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
-           tsMicros(i.atNs) + ",\"pid\":" + std::to_string(pid) +
-           ",\"tid\":" + std::to_string(i.track) + ",";
-    appendArgs(out, i.attributes);
-    out += '}';
+    beginEvent(w, i.name, i.category, "i").key("s").value("t").key("ts")
+        .value(micros(i.atNs)).key("pid").value(pid).key("tid").value(i.track);
+    writeArgs(w, i.attributes);
+    w.endObject();
   }
 }
 
-void appendTraceRecords(std::string& out, bool& first, int pid,
-                        const Trace& trace) {
+void writeTraceRecords(JsonWriter& w, int pid, const Trace& trace) {
   for (const TraceRecord& r : trace.records()) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"name\":\"" + std::string(traceKindName(r.kind)) +
-           "\",\"cat\":\"os.trace\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
-           tsMicros(r.at) + ",\"pid\":" + std::to_string(pid) +
-           ",\"tid\":0,\"args\":{\"detail\":\"" + jsonEscape(r.detail) +
-           "\"}}";
+    beginEvent(w, traceKindName(r.kind), "os.trace", "i").key("s").value("t")
+        .key("ts").value(micros(r.at)).key("pid").value(pid).key("tid")
+        .value(0).key("args").beginObject().key("detail").value(r.detail)
+        .endObject().endObject();
   }
 }
 
 }  // namespace
 
 std::string renderChromeTrace(const ChromeTraceInput& input) {
-  std::string out = "{\"traceEvents\":[\n";
-  bool first = true;
+  std::string out;
+  JsonWriter w(out);
+  w.beginObject().key("traceEvents").beginArray();
   if (input.wall != nullptr) {
-    appendMetaEvent(out, first, 1, "vfpga compile flow (wall clock)");
-    appendSpans(out, first, 1, *input.wall);
+    writeMetaEvent(w, 1, "vfpga compile flow (wall clock)");
+    writeSpans(w, 1, *input.wall);
   }
   int pid = 2;
   for (const SimProcessTrace& p : input.sim) {
-    appendMetaEvent(out, first, pid,
-                    p.name.empty() ? "vfpga os (simulated time)" : p.name);
-    if (p.spans != nullptr) appendSpans(out, first, pid, *p.spans);
-    if (p.trace != nullptr) appendTraceRecords(out, first, pid, *p.trace);
+    writeMetaEvent(w, pid,
+                   p.name.empty() ? "vfpga os (simulated time)" : p.name);
+    if (p.spans != nullptr) writeSpans(w, pid, *p.spans);
+    if (p.trace != nullptr) writeTraceRecords(w, pid, *p.trace);
     ++pid;
   }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+  // An empty trace keeps the blank line between its brackets.
+  if (input.wall == nullptr && input.sim.empty()) w.newline();
+  w.newline().endArray().key("displayTimeUnit").value("ms").endObject();
+  out += '\n';
   return out;
 }
 
@@ -233,7 +207,7 @@ namespace {
 /// Prometheus exposition-format label-value escaping. The text format
 /// escapes exactly three characters — backslash, double-quote and newline
 /// — unlike JSON (whose \t, \uXXXX etc. a Prometheus scraper would read
-/// back literally, which is why jsonEscape is wrong here).
+/// back literally, which is why JSON escaping is wrong here).
 std::string promEscape(const std::string& v) {
   std::string out;
   out.reserve(v.size());
@@ -298,18 +272,18 @@ std::string renderPrometheus(const MetricsRegistry& registry) {
       case MetricKind::kGauge: {
         promHeader(os, lastName, m->name, m->help, "gauge");
         os << m->name << promLabels(m->labels) << " "
-           << fmtDouble(std::get<Gauge>(m->value).value()) << "\n";
+           << formatDouble(std::get<Gauge>(m->value).value()) << "\n";
         break;
       }
       case MetricKind::kStats: {
         promHeader(os, lastName, m->name, m->help, "summary");
         const OnlineStats& s = std::get<StatsMetric>(m->value).stats();
         os << m->name << promLabels(m->labels, "quantile", "0") << " "
-           << fmtDouble(s.min()) << "\n";
+           << formatDouble(s.min()) << "\n";
         os << m->name << promLabels(m->labels, "quantile", "1") << " "
-           << fmtDouble(s.max()) << "\n";
+           << formatDouble(s.max()) << "\n";
         os << m->name << "_sum" << promLabels(m->labels) << " "
-           << fmtDouble(s.sum()) << "\n";
+           << formatDouble(s.sum()) << "\n";
         os << m->name << "_count" << promLabels(m->labels) << " " << s.count()
            << "\n";
         break;
@@ -322,13 +296,13 @@ std::string renderPrometheus(const MetricsRegistry& registry) {
         for (std::size_t i = 0; i < h.bucketCount(); ++i) {
           cum += h.bucket(i);
           os << m->name << "_bucket"
-             << promLabels(m->labels, "le", fmtDouble(h.bucketHigh(i))) << " "
+             << promLabels(m->labels, "le", formatDouble(h.bucketHigh(i))) << " "
              << cum << "\n";
         }
         os << m->name << "_bucket" << promLabels(m->labels, "le", "+Inf")
            << " " << h.total() << "\n";
         os << m->name << "_sum" << promLabels(m->labels) << " "
-           << fmtDouble(hm.sum()) << "\n";
+           << formatDouble(hm.sum()) << "\n";
         os << m->name << "_count" << promLabels(m->labels) << " " << h.total()
            << "\n";
         // Percentile samples via the fixed-width quantile accessor,
@@ -337,7 +311,7 @@ std::string renderPrometheus(const MetricsRegistry& registry) {
              {std::pair{"_p50", 50.0}, {"_p90", 90.0}, {"_p99", 99.0}}) {
           percentileFamilies[m->name + suffix].push_back(
               m->name + suffix + promLabels(m->labels) + " " +
-              fmtDouble(h.percentile(p)) + "\n");
+              formatDouble(h.percentile(p)) + "\n");
         }
         break;
       }
@@ -434,24 +408,24 @@ std::string renderCsv(const MetricsRegistry& registry) {
             std::to_string(std::get<Counter>(m->value).value()));
         break;
       case MetricKind::kGauge:
-        row(m, "value", fmtDouble(std::get<Gauge>(m->value).value()));
+        row(m, "value", formatDouble(std::get<Gauge>(m->value).value()));
         break;
       case MetricKind::kStats: {
         const OnlineStats& s = std::get<StatsMetric>(m->value).stats();
         row(m, "count", std::to_string(s.count()));
-        row(m, "sum", fmtDouble(s.sum()));
-        row(m, "mean", fmtDouble(s.mean()));
-        row(m, "min", fmtDouble(s.min()));
-        row(m, "max", fmtDouble(s.max()));
+        row(m, "sum", formatDouble(s.sum()));
+        row(m, "mean", formatDouble(s.mean()));
+        row(m, "min", formatDouble(s.min()));
+        row(m, "max", formatDouble(s.max()));
         break;
       }
       case MetricKind::kHistogram: {
         const HistogramMetric& hm = std::get<HistogramMetric>(m->value);
         row(m, "count", std::to_string(hm.histogram().total()));
-        row(m, "sum", fmtDouble(hm.sum()));
-        row(m, "p50", fmtDouble(hm.histogram().percentile(50)));
-        row(m, "p90", fmtDouble(hm.histogram().percentile(90)));
-        row(m, "p99", fmtDouble(hm.histogram().percentile(99)));
+        row(m, "sum", formatDouble(hm.sum()));
+        row(m, "p50", formatDouble(hm.histogram().percentile(50)));
+        row(m, "p90", formatDouble(hm.histogram().percentile(90)));
+        row(m, "p99", formatDouble(hm.histogram().percentile(99)));
         break;
       }
     }
@@ -462,49 +436,44 @@ std::string renderCsv(const MetricsRegistry& registry) {
 // ----------------------------------------------------------------- json
 
 std::string renderMetricsJson(const MetricsRegistry& registry) {
-  std::ostringstream os;
-  os << "[";
-  bool first = true;
+  std::string out;
+  JsonWriter w(out);
+  w.beginArray();
   for (const Metric* m : registry.sorted()) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":\"" << jsonEscape(m->name) << "\",\"kind\":\""
-       << metricKindName(m->kind()) << "\",\"labels\":{";
-    for (std::size_t i = 0; i < m->labels.size(); ++i) {
-      if (i) os << ",";
-      os << "\"" << jsonEscape(m->labels[i].first) << "\":\""
-         << jsonEscape(m->labels[i].second) << "\"";
-    }
-    os << "}";
+    w.newline().beginObject().key("name").value(m->name).key("kind")
+        .value(metricKindName(m->kind())).key("labels").beginObject();
+    for (const auto& [k, v] : m->labels) w.key(k).value(v);
+    w.endObject();
     switch (m->kind()) {
       case MetricKind::kCounter:
-        os << ",\"value\":" << std::get<Counter>(m->value).value();
+        w.key("value").value(std::get<Counter>(m->value).value());
         break;
       case MetricKind::kGauge:
-        os << ",\"value\":" << fmtDouble(std::get<Gauge>(m->value).value());
+        w.key("value").value(std::get<Gauge>(m->value).value());
         break;
       case MetricKind::kStats: {
         const OnlineStats& s = std::get<StatsMetric>(m->value).stats();
-        os << ",\"count\":" << s.count() << ",\"sum\":" << fmtDouble(s.sum())
-           << ",\"mean\":" << fmtDouble(s.mean())
-           << ",\"min\":" << fmtDouble(s.count() ? s.min() : 0.0)
-           << ",\"max\":" << fmtDouble(s.count() ? s.max() : 0.0);
+        w.key("count").value(s.count()).key("sum").value(s.sum())
+            .key("mean").value(s.mean())
+            .key("min").value(s.count() ? s.min() : 0.0)
+            .key("max").value(s.count() ? s.max() : 0.0);
         break;
       }
       case MetricKind::kHistogram: {
         const HistogramMetric& hm = std::get<HistogramMetric>(m->value);
-        os << ",\"count\":" << hm.histogram().total()
-           << ",\"sum\":" << fmtDouble(hm.sum())
-           << ",\"p50\":" << fmtDouble(hm.histogram().percentile(50))
-           << ",\"p90\":" << fmtDouble(hm.histogram().percentile(90))
-           << ",\"p99\":" << fmtDouble(hm.histogram().percentile(99));
+        w.key("count").value(hm.histogram().total()).key("sum")
+            .value(hm.sum())
+            .key("p50").value(hm.histogram().percentile(50))
+            .key("p90").value(hm.histogram().percentile(90))
+            .key("p99").value(hm.histogram().percentile(99));
         break;
       }
     }
-    os << "}";
+    w.endObject();
   }
-  os << "\n]\n";
-  return os.str();
+  w.newline().endArray();
+  out += '\n';
+  return out;
 }
 
 }  // namespace vfpga::obs

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/exporters.hpp"
@@ -30,67 +29,56 @@ std::string sanitize(std::string_view s) {
 std::string FlightRecorder::renderBundle(std::string_view ruleId,
                                          std::string_view context,
                                          std::string_view diagnosticsJson) const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"rule_id\": \"" << jsonEscape(ruleId) << "\",\n";
-  os << "  \"context\": \"" << jsonEscape(context) << "\",\n";
-  os << "  \"diagnostics\": "
-     << (diagnosticsJson.empty() ? std::string("null")
-                                 : std::string(diagnosticsJson))
-     << ",\n";
+  std::string out;
+  JsonWriter w(out, JsonWriter::Style::kSpaced);
+  w.beginObject().newline("  ").key("rule_id").value(ruleId).newline("  ")
+      .key("context").value(context).newline("  ").key("diagnostics");
+  if (diagnosticsJson.empty()) {
+    w.null();
+  } else {
+    w.token(diagnosticsJson);
+  }
 
-  os << "  \"trace_tail\": [";
+  // One record per line; an empty list stays `[]`.
+  w.newline("  ").key("trace_tail").beginArray();
   if (trace_ != nullptr) {
     const auto& records = trace_->records();
     const std::size_t n = records.size();
     const std::size_t start =
         n > options_.traceTail ? n - options_.traceTail : 0;
-    bool first = true;
     for (std::size_t i = start; i < n; ++i) {
       const TraceRecord& r = records[i];
-      os << (first ? "\n" : ",\n") << "    {\"at\": " << r.at
-         << ", \"kind\": \"" << traceKindName(r.kind) << "\", \"detail\": \""
-         << jsonEscape(r.detail) << "\"}";
-      first = false;
+      w.newline("    ").beginObject().key("at").value(r.at).key("kind")
+          .value(traceKindName(r.kind)).key("detail").value(r.detail)
+          .endObject();
     }
-    if (!first) os << "\n  ";
+    if (start < n) w.newline("  ");
   }
-  os << "],\n";
-
-  os << "  \"spans\": [";
+  w.endArray().newline("  ").key("spans").beginArray();
   if (spans_ != nullptr) {
-    bool first = true;
     for (const SpanRecord& s : spans_->spans()) {
-      os << (first ? "\n" : ",\n") << "    {\"name\": \"" << jsonEscape(s.name)
-         << "\", \"category\": \"" << jsonEscape(s.category)
-         << "\", \"start_ns\": " << s.startNs
-         << ", \"duration_ns\": " << s.durationNs << "}";
-      first = false;
+      w.newline("    ").beginObject().key("name").value(s.name)
+          .key("category").value(s.category).key("start_ns").value(s.startNs)
+          .key("duration_ns").value(s.durationNs).endObject();
     }
-    if (!first) os << "\n  ";
+    if (!spans_->spans().empty()) w.newline("  ");
   }
-  os << "],\n";
-
-  os << "  \"notes\": [";
-  {
-    bool first = true;
-    for (const Note& n : notes_) {
-      os << (first ? "\n" : ",\n") << "    {\"at_ns\": " << n.atNs
-         << ", \"text\": \"" << jsonEscape(n.text) << "\"}";
-      first = false;
-    }
-    if (!first) os << "\n  ";
+  w.endArray().newline("  ").key("notes").beginArray();
+  for (const Note& n : notes_) {
+    w.newline("    ").beginObject().key("at_ns").value(n.atNs).key("text")
+        .value(n.text).endObject();
   }
-  os << "],\n";
-
-  os << "  \"metrics\": ";
+  if (!notes_.empty()) w.newline("  ");
+  // The compact metrics snapshot ends in its own newline.
+  w.endArray().newline("  ").key("metrics");
   if (registry_ != nullptr) {
-    os << renderMetricsJson(*registry_);
+    w.token(renderMetricsJson(*registry_));
   } else {
-    os << "[]\n";
+    w.beginArray().endArray().newline();
   }
-  os << "}\n";
-  return os.str();
+  w.endObject();
+  out += '\n';
+  return out;
 }
 
 void FlightRecorder::note(std::uint64_t atNs, std::string text) {

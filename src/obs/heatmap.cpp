@@ -34,20 +34,17 @@ std::string HeatmapCollector::renderCsv() const {
 }
 
 std::string HeatmapCollector::renderJson() const {
-  std::string out = "{\"columns\":" + std::to_string(columns_) +
-                    ",\"samples\":[";
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    const HeatmapSample& s = samples_[i];
-    if (i) out += ',';
-    out += "\n{\"t_ns\":" + std::to_string(s.atNs) + ",\"event\":\"" +
-           jsonEscape(s.event) + "\",\"cells\":[";
-    for (std::size_t c = 0; c < s.cells.size(); ++c) {
-      if (c) out += ',';
-      out += std::to_string(static_cast<unsigned>(s.cells[c]));
-    }
-    out += "]}";
+  std::string out;
+  JsonWriter w(out);
+  w.beginObject().key("columns").value(columns_).key("samples").beginArray();
+  for (const HeatmapSample& s : samples_) {
+    w.newline().beginObject().key("t_ns").value(s.atNs).key("event")
+        .value(s.event).key("cells").beginArray();
+    for (CellState cell : s.cells) w.value(static_cast<unsigned>(cell));
+    w.endArray().endObject();
   }
-  out += "\n]}\n";
+  w.newline().endArray().endObject();
+  out += '\n';
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace vfpga::obs {
@@ -24,6 +25,31 @@ namespace {
 /// renders nests a handful of levels; the bound keeps hostile input from
 /// exhausting the stack of this recursive-descent parser.
 constexpr int kMaxNesting = 256;
+
+/// Appends `s` as a quoted JSON string literal.
+void appendQuoted(std::string& out, std::string_view s) {
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+}
 
 class Parser {
  public:
@@ -226,29 +252,71 @@ JsonValue JsonValue::parse(std::string_view text) {
   return Parser(text).parseDocument();
 }
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
+std::string formatDouble(double v) {
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  if (std::isnan(v)) return "NaN";
+  char buf[64];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
+}
+
+void JsonWriter::element() {
+  if (afterKey_) {
+    afterKey_ = false;
+    return;
   }
-  return out;
+  if (!nonEmpty_.empty()) {
+    if (nonEmpty_.back()) {
+      out_ += pendingBreak_.empty() && style_ == Style::kSpaced ? ", " : ",";
+    }
+    nonEmpty_.back() = true;
+  }
+  out_ += pendingBreak_;
+  pendingBreak_.clear();
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  element();
+  out_.push_back(bracket);
+  nonEmpty_.push_back(false);
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  out_ += pendingBreak_;
+  pendingBreak_.clear();
+  out_.push_back(bracket);
+  nonEmpty_.pop_back();
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  value(k);
+  out_ += style_ == Style::kSpaced ? ": " : ":";
+  afterKey_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  element();
+  appendQuoted(out_, s);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double d) {
+  return std::isfinite(d) ? token(formatDouble(d)) : null();
+}
+
+JsonWriter& JsonWriter::token(std::string_view raw) {
+  element();
+  out_ += raw;
+  return *this;
+}
+
+JsonWriter& JsonWriter::newline(std::string_view indent) {
+  pendingBreak_ += '\n';
+  pendingBreak_ += indent;
+  return *this;
 }
 
 }  // namespace vfpga::obs

@@ -1,4 +1,5 @@
-// Minimal JSON value model + recursive-descent parser.
+// Minimal JSON value model + recursive-descent parser, and the streaming
+// writer every JSON document in the tree is rendered with.
 //
 // The observability layer emits several JSON artifacts (Chrome trace_event
 // files, flight-recorder bundles, bench rows). This parser exists so the
@@ -8,6 +9,8 @@
 // (RFC 8259): no comments, no trailing commas.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -69,8 +72,61 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };
 
-/// Escapes a string for embedding inside a JSON string literal (no quotes
-/// added). Shared by every renderer in the observability layer.
-std::string jsonEscape(std::string_view s);
+/// Shortest round-trip decimal form of `v` (std::to_chars); infinities and
+/// NaN as Prometheus spells them (`+Inf`, `-Inf`, `NaN`). The one double
+/// formatter: Prometheus, CSV, the monitor panels and JsonWriter use it.
+std::string formatDouble(double v);
+
+/// Streaming JSON emitter appending to a caller-owned string; the only
+/// code that escapes strings or writes JSON punctuation. Commas and the
+/// key/value colon follow from the nesting state. Layout is the caller's
+/// one choice: `newline(indent)` puts the next element (after its comma) or
+/// the closing bracket on a new line, and breaks requested before the same
+/// element accumulate.
+class JsonWriter {
+ public:
+  /// kSpaced writes `": "` after keys and `", "` between elements that
+  /// share a line; kCompact writes neither space.
+  enum class Style { kCompact, kSpaced };
+
+  explicit JsonWriter(std::string& out, Style style = Style::kCompact)
+      : out_(out), style_(style) {}
+
+  JsonWriter& beginObject() { return open('{'); }
+  JsonWriter& endObject() { return close('}'); }
+  JsonWriter& beginArray() { return open('['); }
+  JsonWriter& endArray() { return close(']'); }
+  JsonWriter& key(std::string_view k);
+
+  JsonWriter& value(std::string_view s);
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(bool b) { return token(b ? "true" : "false"); }
+  /// Shortest round-trip form; JSON has no infinity or NaN, so non-finite
+  /// values are written as null.
+  JsonWriter& value(double d);
+  /// Integers are written exactly, up to the full uint64_t range.
+  JsonWriter& value(std::integral auto n) {
+    char buf[24];
+    const char* end = std::to_chars(buf, buf + sizeof buf, n).ptr;
+    return token(std::string_view(buf, end));
+  }
+  JsonWriter& null() { return token("null"); }
+  /// A pre-rendered number or a complete nested JSON document, copied
+  /// verbatim as the next element.
+  JsonWriter& token(std::string_view raw);
+  JsonWriter& newline(std::string_view indent = {});
+
+ private:
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+  /// Separator and pending line break owed before the next element.
+  void element();
+
+  std::string& out_;
+  Style style_;
+  std::vector<bool> nonEmpty_;  ///< per open container: holds an element
+  bool afterKey_ = false;
+  std::string pendingBreak_;
+};
 
 }  // namespace vfpga::obs

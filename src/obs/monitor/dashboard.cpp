@@ -14,11 +14,9 @@ namespace {
 
 constexpr char kRamp[] = " .:-=+*#%@";  // 10 levels, low to high
 
-std::string fmt(double v) { return formatSampleValue(v); }
-
 // Display form for the text/HTML panels: 6 significant digits keeps the
 // columns readable (the JSON export keeps full shortest-round-trip
-// fidelity via fmt()). snprintf %g is deterministic under the default "C"
+// fidelity). snprintf %g is deterministic under the default "C"
 // locale the CLI runs in.
 std::string disp(double v) {
   char buf[32];
@@ -30,7 +28,7 @@ std::string disp(double v) {
 // byte output independent of accumulated float noise).
 std::string coord(double v) {
   const double r = std::round(v * 100.0) / 100.0;
-  return formatSampleValue(r == 0.0 ? 0.0 : r);  // normalize -0
+  return formatDouble(r == 0.0 ? 0.0 : r);  // normalize -0
 }
 
 const char* transitionColor(const std::string& to) {
@@ -146,83 +144,63 @@ std::string renderMonitorText(const DashboardInput& in) {
 }
 
 std::string renderMonitorJson(const DashboardInput& in) {
-  const TimeSeriesStore& store = *in.store;
-  std::ostringstream os;
-  os << "{\n  \"title\": \"" << jsonEscape(in.title)
-     << "\",\n  \"at_ns\": " << in.atNs << ",\n";
+  const AlertEngine noEngine;
+  const HealthModel noHealth;
+  const AlertEngine& engine = in.engine != nullptr ? *in.engine : noEngine;
+  const HealthModel& health = in.health != nullptr ? *in.health : noHealth;
+  std::string out;
+  JsonWriter w(out, JsonWriter::Style::kSpaced);
+  // One entry per line; an empty list stays `[]`.
+  const auto list = [&w](const auto& items, const auto& writeItem) {
+    w.beginArray();
+    for (const auto& item : items) writeItem(w.newline("    "), item);
+    if (!items.empty()) w.newline("  ");
+    w.endArray();
+  };
+  w.beginObject().newline("  ").key("title").value(in.title).newline("  ")
+      .key("at_ns").value(in.atNs);
 
   // Embed the store's own JSON object under "timeseries".
-  std::string ts = store.renderJson();
+  std::string ts = in.store->renderJson();
   while (!ts.empty() && ts.back() == '\n') ts.pop_back();
-  os << "  \"timeseries\": " << ts << ",\n";
-
-  os << "  \"alerts\": [";
-  if (in.engine != nullptr) {
-    bool first = true;
-    for (const RuleStatus& rs : in.engine->rules()) {
-      os << (first ? "\n" : ",\n") << "    {\"name\": \""
-         << jsonEscape(rs.rule.name) << "\", \"series\": \""
-         << jsonEscape(rs.rule.series) << "\", \"kind\": \""
-         << ruleKindName(rs.rule.kind) << "\", \"severity\": \""
-         << alertSeverityName(rs.rule.severity) << "\", \"state\": \""
-         << alertStateName(rs.state) << "\", \"incidents\": " << rs.incidents
-         << ", \"value\": " << fmt(rs.lastValue)
-         << ", \"condition\": " << (rs.lastCondition ? "true" : "false")
-         << "}";
-      first = false;
-    }
-    if (!first) os << "\n  ";
-  }
-  os << "],\n";
-
-  os << "  \"transitions\": [";
-  if (in.engine != nullptr) {
-    bool first = true;
-    for (const AlertTransition& tr : in.engine->transitions()) {
-      os << (first ? "\n" : ",\n") << "    {\"t_ns\": " << tr.atNs
-         << ", \"rule\": \"" << jsonEscape(tr.rule) << "\", \"from\": \""
-         << alertStateName(tr.from) << "\", \"to\": \"" << tr.to
-         << "\", \"value\": " << fmt(tr.value) << ", \"severity\": \""
-         << alertSeverityName(tr.severity) << "\"}";
-      first = false;
-    }
-    if (!first) os << "\n  ";
-  }
-  os << "],\n";
-
-  os << "  \"health\": {\"devices\": [";
-  if (in.health != nullptr) {
-    bool first = true;
-    for (const std::string& dev : in.health->devices()) {
-      const HealthCounters c = in.health->lastCounters(dev);
-      os << (first ? "\n" : ",\n") << "    {\"name\": \"" << jsonEscape(dev)
-         << "\", \"grade\": \"" << healthGradeName(in.health->grade(dev))
-         << "\", \"score\": " << fmt(in.health->score(dev))
-         << ", \"usable_columns\": " << c.usableColumns
-         << ", \"total_columns\": " << c.totalColumns
-         << ", \"quarantined_strips\": " << c.quarantinedStrips
-         << ", \"scrub_repairs\": " << c.scrubRepairs
-         << ", \"watchdog_preempts\": " << c.watchdogPreempts
-         << ", \"parked_tasks\": " << c.parkedTasks << "}";
-      first = false;
-    }
-    if (!first) os << "\n  ";
-  }
-  os << "], \"events\": [";
-  if (in.health != nullptr) {
-    bool first = true;
-    for (const HealthEvent& ev : in.health->events()) {
-      os << (first ? "\n" : ",\n") << "    {\"t_ns\": " << ev.atNs
-         << ", \"device\": \"" << jsonEscape(ev.device) << "\", \"from\": \""
-         << healthGradeName(ev.from) << "\", \"to\": \""
-         << healthGradeName(ev.to) << "\", \"score\": " << fmt(ev.score)
-         << "}";
-      first = false;
-    }
-    if (!first) os << "\n  ";
-  }
-  os << "]}\n}\n";
-  return os.str();
+  w.newline("  ").key("timeseries").token(ts).newline("  ").key("alerts");
+  list(engine.rules(), [](JsonWriter& w, const RuleStatus& rs) {
+    w.beginObject().key("name").value(rs.rule.name).key("series")
+        .value(rs.rule.series).key("kind").value(ruleKindName(rs.rule.kind))
+        .key("severity").value(alertSeverityName(rs.rule.severity))
+        .key("state").value(alertStateName(rs.state)).key("incidents")
+        .value(rs.incidents).key("value").value(rs.lastValue)
+        .key("condition").value(rs.lastCondition).endObject();
+  });
+  w.newline("  ").key("transitions");
+  list(engine.transitions(), [](JsonWriter& w, const AlertTransition& tr) {
+    w.beginObject().key("t_ns").value(tr.atNs).key("rule").value(tr.rule)
+        .key("from").value(alertStateName(tr.from)).key("to").value(tr.to)
+        .key("value").value(tr.value).key("severity")
+        .value(alertSeverityName(tr.severity)).endObject();
+  });
+  w.newline("  ").key("health").beginObject().key("devices");
+  list(health.devices(), [&health](JsonWriter& w, const std::string& dev) {
+    const HealthCounters c = health.lastCounters(dev);
+    w.beginObject().key("name").value(dev).key("grade")
+        .value(healthGradeName(health.grade(dev))).key("score")
+        .value(health.score(dev)).key("usable_columns")
+        .value(c.usableColumns).key("total_columns").value(c.totalColumns)
+        .key("quarantined_strips").value(c.quarantinedStrips)
+        .key("scrub_repairs").value(c.scrubRepairs)
+        .key("watchdog_preempts").value(c.watchdogPreempts)
+        .key("parked_tasks").value(c.parkedTasks).endObject();
+  });
+  w.key("events");
+  list(health.events(), [](JsonWriter& w, const HealthEvent& ev) {
+    w.beginObject().key("t_ns").value(ev.atNs).key("device").value(ev.device)
+        .key("from").value(healthGradeName(ev.from)).key("to")
+        .value(healthGradeName(ev.to)).key("score").value(ev.score)
+        .endObject();
+  });
+  w.endObject().newline().endObject();
+  out += '\n';
+  return out;
 }
 
 std::string renderMonitorHtml(const DashboardInput& in) {

@@ -1,8 +1,6 @@
 #include "obs/monitor/timeseries.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <variant>
@@ -64,14 +62,6 @@ double readField(const Metric& m, SeriesField field) {
 }
 
 }  // namespace
-
-std::string formatSampleValue(double v) {
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (std::isnan(v)) return "NaN";
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
 
 TimeSeriesStore::TimeSeriesStore(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ < 2) {
@@ -233,7 +223,7 @@ std::string TimeSeriesStore::renderCsv() const {
   for (std::size_t i = 0; i < tickTimes_.size(); ++i) {
     os << tickTimes_[i];
     for (const Series& s : series_) {
-      os << "," << formatSampleValue(s.values[i]);
+      os << "," << formatDouble(s.values[i]);
     }
     os << "\n";
   }
@@ -241,32 +231,28 @@ std::string TimeSeriesStore::renderCsv() const {
 }
 
 std::string TimeSeriesStore::renderJson() const {
-  std::ostringstream os;
-  os << "{\n  \"sample_interval_ns\": " << sampleIntervalNs_
-     << ",\n  \"ticks_total\": " << totalTicks_
-     << ",\n  \"ticks_retained\": " << tickTimes_.size()
-     << ",\n  \"ticks_dropped\": " << droppedTicks_ << ",\n  \"series\": [";
-  bool firstSeries = true;
+  std::string out;
+  JsonWriter w(out, JsonWriter::Style::kSpaced);
+  w.beginObject().newline("  ").key("sample_interval_ns")
+      .value(sampleIntervalNs_).newline("  ").key("ticks_total")
+      .value(totalTicks_).newline("  ").key("ticks_retained")
+      .value(tickTimes_.size()).newline("  ").key("ticks_dropped")
+      .value(droppedTicks_).newline("  ").key("series").beginArray();
   for (const Series& s : series_) {
-    os << (firstSeries ? "\n" : ",\n");
-    firstSeries = false;
-    os << "    {\"name\": \"" << jsonEscape(s.name) << "\", \"unit\": \""
-       << jsonEscape(s.unit) << "\", \"count\": " << s.allTime.count()
-       << ", \"min\": "
-       << formatSampleValue(s.allTime.count() > 0 ? s.allTime.min() : 0.0)
-       << ", \"max\": "
-       << formatSampleValue(s.allTime.count() > 0 ? s.allTime.max() : 0.0)
-       << ", \"mean\": "
-       << formatSampleValue(s.allTime.count() > 0 ? s.allTime.mean() : 0.0)
-       << ", \"samples\": [";
+    const bool any = s.allTime.count() > 0;
+    w.newline("    ").beginObject().key("name").value(s.name).key("unit")
+        .value(s.unit).key("count").value(s.allTime.count()).key("min")
+        .value(any ? s.allTime.min() : 0.0).key("max")
+        .value(any ? s.allTime.max() : 0.0).key("mean")
+        .value(any ? s.allTime.mean() : 0.0).key("samples").beginArray();
     for (std::size_t i = 0; i < tickTimes_.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << "[" << tickTimes_[i] << ", "
-         << formatSampleValue(s.values[i]) << "]";
+      w.beginArray().value(tickTimes_[i]).value(s.values[i]).endArray();
     }
-    os << "]}";
+    w.endArray().endObject();
   }
-  os << "\n  ]\n}\n";
-  return os.str();
+  w.newline("  ").endArray().newline().endObject();
+  out += '\n';
+  return out;
 }
 
 }  // namespace vfpga::obs::monitor

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace vfpga::obs::profile {
 
 void ActivityAggregator::add(const SiteSample& s) {
@@ -67,20 +69,21 @@ std::string ActivityAggregator::renderText(std::size_t k) const {
 }
 
 std::string ActivityAggregator::renderJson(std::size_t k) const {
-  std::ostringstream os;
-  os << "{\n\"cycles\":" << cycles_ << ",\"sites\":" << sites_.size()
-     << ",\"evals\":" << totalEvals_ << ",\"toggles\":" << totalToggles_
-     << ",\"hops\":" << totalHops_ << ",\n\"cones\":[";
-  const std::vector<ConeStat> top = topK(k);
-  for (std::size_t i = 0; i < top.size(); ++i) {
-    const ConeStat& c = top[i];
-    os << (i == 0 ? "" : ",") << "\n{\"x\":" << c.x << ",\"y\":" << c.y
-       << ",\"strip\":" << c.strip << ",\"score\":" << c.score()
-       << ",\"evals\":" << c.evals << ",\"toggles\":" << c.toggles
-       << ",\"hops\":" << c.hops << "}";
+  std::string out;
+  JsonWriter w(out);
+  w.beginObject().newline().key("cycles").value(cycles_).key("sites")
+      .value(sites_.size()).key("evals").value(totalEvals_).key("toggles")
+      .value(totalToggles_).key("hops").value(totalHops_).newline()
+      .key("cones").beginArray();
+  for (const ConeStat& c : topK(k)) {
+    w.newline().beginObject().key("x").value(c.x).key("y").value(c.y)
+        .key("strip").value(c.strip).key("score").value(c.score())
+        .key("evals").value(c.evals).key("toggles").value(c.toggles)
+        .key("hops").value(c.hops).endObject();
   }
-  os << "\n]\n}\n";
-  return os.str();
+  w.newline().endArray().newline().endObject();
+  out += '\n';
+  return out;
 }
 
 }  // namespace vfpga::obs::profile

@@ -101,7 +101,7 @@ std::string renderSpeedscope(const FlamegraphInput& input,
     std::string name;
     std::uint64_t start = 0;
     std::uint64_t end = 0;
-    std::string events;
+    std::string events;  ///< JSON array of open/close events
   };
   std::vector<Profile> profiles;
   for (std::uint32_t track = 0; track <= maxTrack(*input.tracer); ++track) {
@@ -112,53 +112,54 @@ std::string renderSpeedscope(const FlamegraphInput& input,
     p.start = evs.front().start;
     p.end = evs.front().end;
     for (const Ev& e : evs) p.end = std::max(p.end, e.end);
-    std::ostringstream ev;
-    bool first = true;
+    JsonWriter ev(p.events);
+    ev.beginArray();
     struct Open {
       std::uint64_t end = 0;
       std::size_t frame = 0;
     };
     std::vector<Open> stack;
-    auto emit = [&](char type, std::size_t f, std::uint64_t at) {
-      ev << (first ? "" : ",") << "{\"type\":\"" << type << "\",\"frame\":"
-         << f << ",\"at\":" << at << "}";
-      first = false;
+    auto emit = [&](const char* type, std::size_t f, std::uint64_t at) {
+      ev.beginObject().key("type").value(type).key("frame").value(f)
+          .key("at").value(at).endObject();
     };
     for (const Ev& e : evs) {
       while (!stack.empty() && stack.back().end <= e.start) {
-        emit('C', stack.back().frame, stack.back().end);
+        emit("C", stack.back().frame, stack.back().end);
         stack.pop_back();
       }
       const std::size_t f = frame(e.name);
-      emit('O', f, e.start);
+      emit("O", f, e.start);
       stack.push_back({e.end, f});
     }
     while (!stack.empty()) {
-      emit('C', stack.back().frame, stack.back().end);
+      emit("C", stack.back().frame, stack.back().end);
       stack.pop_back();
     }
-    p.events = ev.str();
+    ev.endArray();
     profiles.push_back(std::move(p));
   }
 
-  std::ostringstream os;
-  os << "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\""
-     << ",\"exporter\":\"vfpga\",\"name\":\"" << jsonEscape(profileName)
-     << "\",\"activeProfileIndex\":0,\"shared\":{\"frames\":[";
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    os << (i == 0 ? "" : ",") << "{\"name\":\"" << jsonEscape(frames[i])
-       << "\"}";
+  std::string out;
+  JsonWriter w(out);
+  w.beginObject().key("$schema")
+      .value("https://www.speedscope.app/file-format-schema.json")
+      .key("exporter").value("vfpga").key("name").value(profileName)
+      .key("activeProfileIndex").value(0).key("shared").beginObject()
+      .key("frames").beginArray();
+  for (const std::string& f : frames) {
+    w.beginObject().key("name").value(f).endObject();
   }
-  os << "]},\"profiles\":[";
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const Profile& p = profiles[i];
-    os << (i == 0 ? "" : ",") << "\n{\"type\":\"evented\",\"name\":\""
-       << jsonEscape(p.name) << "\",\"unit\":\"nanoseconds\",\"startValue\":"
-       << p.start << ",\"endValue\":" << p.end << ",\"events\":["
-       << p.events << "]}";
+  w.endArray().endObject().key("profiles").beginArray();
+  for (const Profile& p : profiles) {
+    w.newline().beginObject().key("type").value("evented").key("name")
+        .value(p.name).key("unit").value("nanoseconds").key("startValue")
+        .value(p.start).key("endValue").value(p.end).key("events")
+        .token(p.events).endObject();
   }
-  os << "\n]}\n";
-  return os.str();
+  w.newline().endArray().endObject();
+  out += '\n';
+  return out;
 }
 
 }  // namespace vfpga::obs::profile

@@ -148,43 +148,37 @@ std::string ResourceLedger::renderText() const {
 }
 
 std::string ResourceLedger::renderJson() const {
-  std::ostringstream os;
-  os << "{\n\"tasks\":[";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const LedgerRow& r = rows_[i];
-    os << (i == 0 ? "" : ",") << "\n{\"task\":\"" << jsonEscape(r.task)
-       << "\",\"device\":\"" << jsonEscape(r.device)
-       << "\",\"class\":" << r.priority << ",\"completed\":"
-       << (r.completed ? "true" : "false") << ",\"fpga_cycles\":"
-       << r.fpgaCycles << ",\"config_bits\":" << r.configBits
-       << ",\"downloads\":" << r.downloads << ",\"config_hits\":"
-       << r.configHits << ",\"cache_hits\":" << r.cacheHits
-       << ",\"cache_misses\":" << r.cacheMisses << ",\"relocations\":"
-       << r.relocations << ",\"preemptions\":" << r.preemptions
-       << ",\"migrations\":" << r.migrations << ",\"checkpoints\":"
-       << r.checkpoints << ",\"restores\":" << r.restores
-       << ",\"checkpointed_bytes\":" << r.checkpointedBytes
-       << ",\"wait_ns\":" << r.waitNs
-       << ",\"exec_ns\":" << r.execNs << "}";
+  std::string out;
+  JsonWriter w(out);
+  // The resource counters a task row and a class rollup share.
+  const auto counters = [&w](const auto& r) {
+    w.key("fpga_cycles").value(r.fpgaCycles).key("config_bits")
+        .value(r.configBits).key("downloads").value(r.downloads)
+        .key("config_hits").value(r.configHits).key("cache_hits")
+        .value(r.cacheHits).key("cache_misses").value(r.cacheMisses)
+        .key("relocations").value(r.relocations).key("preemptions")
+        .value(r.preemptions).key("migrations").value(r.migrations)
+        .key("checkpoints").value(r.checkpoints).key("restores")
+        .value(r.restores).key("checkpointed_bytes")
+        .value(r.checkpointedBytes).key("wait_ns").value(r.waitNs)
+        .key("exec_ns").value(r.execNs).endObject();
+  };
+  w.beginObject().newline().key("tasks").beginArray();
+  for (const LedgerRow& r : rows_) {
+    w.newline().beginObject().key("task").value(r.task).key("device")
+        .value(r.device).key("class").value(r.priority).key("completed")
+        .value(r.completed);
+    counters(r);
   }
-  os << "\n],\n\"classes\":[";
-  const std::vector<ClassRollup> classes = byClass();
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    const ClassRollup& c = classes[i];
-    os << (i == 0 ? "" : ",") << "\n{\"class\":" << c.priority
-       << ",\"tasks\":" << c.tasks << ",\"completed\":" << c.completed
-       << ",\"fpga_cycles\":" << c.fpgaCycles << ",\"config_bits\":"
-       << c.configBits << ",\"downloads\":" << c.downloads
-       << ",\"config_hits\":" << c.configHits << ",\"cache_hits\":"
-       << c.cacheHits << ",\"cache_misses\":" << c.cacheMisses
-       << ",\"relocations\":" << c.relocations << ",\"preemptions\":"
-       << c.preemptions << ",\"migrations\":" << c.migrations
-       << ",\"checkpoints\":" << c.checkpoints << ",\"restores\":"
-       << c.restores << ",\"checkpointed_bytes\":" << c.checkpointedBytes
-       << ",\"wait_ns\":" << c.waitNs << ",\"exec_ns\":" << c.execNs << "}";
+  w.newline().endArray().newline().key("classes").beginArray();
+  for (const ClassRollup& c : byClass()) {
+    w.newline().beginObject().key("class").value(c.priority).key("tasks")
+        .value(c.tasks).key("completed").value(c.completed);
+    counters(c);
   }
-  os << "\n]\n}\n";
-  return os.str();
+  w.newline().endArray().newline().endObject();
+  out += '\n';
+  return out;
 }
 
 }  // namespace vfpga::obs::profile

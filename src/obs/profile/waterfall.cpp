@@ -177,31 +177,31 @@ std::string renderText(const WaterfallReport& report) {
 }
 
 std::string renderJson(const WaterfallReport& report) {
-  std::ostringstream os;
-  auto phases = [&](const PhaseBreakdown& p) {
-    os << "{\"wait_ns\":" << p.waitNs << ",\"config_ns\":" << p.configNs
-       << ",\"exec_ns\":" << p.execNs << ",\"cpu_ns\":" << p.cpuNs
-       << ",\"stall_ns\":" << p.stallNs
-       << ",\"preemptions\":" << p.preemptions
-       << ",\"migrations\":" << p.migrations << ",\"parks\":" << p.parks
-       << ",\"checkpoints\":" << p.checkpoints
-       << ",\"restores\":" << p.restores
-       << ",\"critical\":\"" << p.criticalPhase() << "\"}";
+  std::string out;
+  JsonWriter w(out);
+  const auto phases = [&w](const PhaseBreakdown& p) {
+    w.beginObject().key("wait_ns").value(p.waitNs).key("config_ns")
+        .value(p.configNs).key("exec_ns").value(p.execNs).key("cpu_ns")
+        .value(p.cpuNs).key("stall_ns").value(p.stallNs).key("preemptions")
+        .value(p.preemptions).key("migrations").value(p.migrations)
+        .key("parks").value(p.parks).key("checkpoints").value(p.checkpoints)
+        .key("restores").value(p.restores).key("critical")
+        .value(p.criticalPhase()).endObject();
   };
-  os << "{\n\"tasks\":[";
-  for (std::size_t i = 0; i < report.tasks.size(); ++i) {
-    const TaskWaterfall& t = report.tasks[i];
-    os << (i == 0 ? "" : ",") << "\n{\"task\":\"" << jsonEscape(t.task)
-       << "\",\"track\":" << t.track << ",\"start_ns\":" << t.startNs
-       << ",\"end_ns\":" << t.endNs << ",\"phases\":";
+  w.beginObject().newline().key("tasks").beginArray();
+  for (const TaskWaterfall& t : report.tasks) {
+    w.newline().beginObject().key("task").value(t.task).key("track")
+        .value(t.track).key("start_ns").value(t.startNs).key("end_ns")
+        .value(t.endNs).key("phases");
     phases(t.phases);
-    os << "}";
+    w.endObject();
   }
-  os << "\n],\n\"total\":";
+  w.newline().endArray().newline().key("total");
   phases(report.total);
-  os << ",\n\"makespan_ns\":" << report.makespanNs << ",\"complete\":"
-     << (report.complete ? "true" : "false") << "\n}\n";
-  return os.str();
+  w.newline().key("makespan_ns").value(report.makespanNs).key("complete")
+      .value(report.complete).newline().endObject();
+  out += '\n';
+  return out;
 }
 
 }  // namespace vfpga::obs::profile

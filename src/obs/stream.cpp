@@ -8,35 +8,24 @@ namespace vfpga::obs {
 
 namespace {
 
-void appendAttributes(std::string& out, const AttrList& attrs) {
+void writeAttributes(JsonWriter& w, const AttrList& attrs) {
   if (attrs.empty()) return;
-  out += ",\"attributes\":{";
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    if (i) out += ',';
-    out += '"';
-    out += jsonEscape(attrs[i].first);
-    out += "\":\"";
-    out += jsonEscape(attrs[i].second);
-    out += '"';
-  }
-  out += '}';
+  w.key("attributes").beginObject();
+  for (const auto& [k, v] : attrs) w.key(k).value(v);
+  w.endObject();
 }
 
-void appendKeyCounts(std::string& out, std::string_view field,
-                     const std::map<std::string, std::uint64_t>& counts) {
-  out += ",\"";
-  out += field;
-  out += "\":{";
-  bool first = true;
-  for (const auto& [k, n] : counts) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += jsonEscape(k);
-    out += "\":";
-    out += std::to_string(n);
-  }
-  out += '}';
+void writeKeyCounts(JsonWriter& w, std::string_view field,
+                    const std::map<std::string, std::uint64_t>& counts) {
+  w.key(field).beginObject();
+  for (const auto& [k, n] : counts) w.key(k).value(n);
+  w.endObject();
+}
+
+/// Opens an NDJSON record: `{"kind":...,"domain":...`.
+JsonWriter& beginRecord(JsonWriter& w, const char* kind,
+                        const std::string& domain) {
+  return w.beginObject().key("kind").value(kind).key("domain").value(domain);
 }
 
 }  // namespace
@@ -61,46 +50,41 @@ void StreamExporter::attach(SpanTracer& tracer, std::string domain) {
 }
 
 void StreamExporter::onSpan(const SpanRecord& s, const std::string& domain) {
-  std::string line = "{\"kind\":\"span\",\"domain\":\"" + jsonEscape(domain) +
-                     "\",\"name\":\"" + jsonEscape(s.name) +
-                     "\",\"category\":\"" + jsonEscape(s.category) +
-                     "\",\"span_id\":" + std::to_string(s.spanId) +
-                     ",\"start_ns\":" + std::to_string(s.startNs) +
-                     ",\"duration_ns\":" + std::to_string(s.durationNs) +
-                     ",\"track\":" + std::to_string(s.track);
+  std::string line;
+  JsonWriter w(line);
+  beginRecord(w, "span", domain).key("name").value(s.name).key("category")
+      .value(s.category).key("span_id").value(s.spanId).key("start_ns")
+      .value(s.startNs).key("duration_ns").value(s.durationNs).key("track")
+      .value(s.track);
   if (!s.links.empty()) {
-    line += ",\"links\":[";
-    for (std::size_t i = 0; i < s.links.size(); ++i) {
-      if (i) line += ',';
-      line += std::to_string(s.links[i]);
-    }
-    line += ']';
+    w.key("links").beginArray();
+    for (const std::uint64_t link : s.links) w.value(link);
+    w.endArray();
   }
-  appendAttributes(line, s.attributes);
-  line += '}';
+  writeAttributes(w, s.attributes);
+  w.endObject();
   enqueue(s.category, s.startNs, std::move(line));
 }
 
 void StreamExporter::onInstant(const InstantRecord& i,
                                const std::string& domain) {
-  std::string line = "{\"kind\":\"instant\",\"domain\":\"" +
-                     jsonEscape(domain) + "\",\"name\":\"" +
-                     jsonEscape(i.name) + "\",\"category\":\"" +
-                     jsonEscape(i.category) +
-                     "\",\"at_ns\":" + std::to_string(i.atNs) +
-                     ",\"track\":" + std::to_string(i.track);
-  appendAttributes(line, i.attributes);
-  line += '}';
+  std::string line;
+  JsonWriter w(line);
+  beginRecord(w, "instant", domain).key("name").value(i.name).key("category")
+      .value(i.category).key("at_ns").value(i.atNs).key("track")
+      .value(i.track);
+  writeAttributes(w, i.attributes);
+  w.endObject();
   enqueue(i.category, i.atNs, std::move(line));
 }
 
 void StreamExporter::onTrace(std::uint64_t atNs, std::string_view traceKind,
                              std::string_view detail,
                              const std::string& domain) {
-  std::string line = "{\"kind\":\"trace\",\"domain\":\"" + jsonEscape(domain) +
-                     "\",\"at_ns\":" + std::to_string(atNs) +
-                     ",\"trace_kind\":\"" + jsonEscape(traceKind) +
-                     "\",\"detail\":\"" + jsonEscape(detail) + "\"}";
+  std::string line;
+  JsonWriter w(line);
+  beginRecord(w, "trace", domain).key("at_ns").value(atNs).key("trace_kind")
+      .value(traceKind).key("detail").value(detail).endObject();
   enqueue("trace", atNs, std::move(line));
 }
 
@@ -172,15 +156,15 @@ void StreamExporter::flush() {
 }
 
 std::string StreamExporter::summaryLine() const {
-  std::string line = "{\"kind\":\"stream_summary\",\"emitted\":" +
-                     std::to_string(emitted_) +
-                     ",\"written\":" + std::to_string(written_) +
-                     ",\"dropped\":" + std::to_string(dropped_) +
-                     ",\"sampled_out\":" + std::to_string(sampledOut_) +
-                     ",\"flushes\":" + std::to_string(flushes_);
-  appendKeyCounts(line, "dropped_by_kind", droppedByKey_);
-  appendKeyCounts(line, "sampled_out_by_kind", sampledOutByKey_);
-  line += '}';
+  std::string line;
+  JsonWriter w(line);
+  w.beginObject().key("kind").value("stream_summary").key("emitted")
+      .value(emitted_).key("written").value(written_).key("dropped")
+      .value(dropped_).key("sampled_out").value(sampledOut_).key("flushes")
+      .value(flushes_);
+  writeKeyCounts(w, "dropped_by_kind", droppedByKey_);
+  writeKeyCounts(w, "sampled_out_by_kind", sampledOutByKey_);
+  w.endObject();
   return line;
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -233,6 +234,27 @@ TEST(Dashboard, JsonEscapesControlCharactersInNames) {
   EXPECT_EQ(doc.at("timeseries").at("series").asArray().at(0).at("name")
                 .asString(),
             r.series);
+}
+
+TEST(Dashboard, NonFiniteSamplesAreNullInJsonAndKeptInCsv) {
+  TimeSeriesStore store(4);
+  double v = std::numeric_limits<double>::infinity();
+  store.addSeries("sig", [&v] { return v; });
+  store.sampleAll(10);
+  v = std::numeric_limits<double>::quiet_NaN();
+  store.sampleAll(20);
+
+  obs::monitor::DashboardInput in;
+  in.store = &store;
+  const obs::JsonValue doc =
+      obs::JsonValue::parse(obs::monitor::renderMonitorJson(in));
+  const obs::JsonValue& series =
+      doc.at("timeseries").at("series").asArray().at(0);
+  EXPECT_TRUE(series.at("max").isNull());
+  for (const obs::JsonValue& sample : series.at("samples").asArray()) {
+    EXPECT_TRUE(sample.asArray().at(1).isNull());
+  }
+  EXPECT_EQ(store.renderCsv(), "t_ns,sig\n10,+Inf\n20,NaN\n");
 }
 
 TEST(Alerts, PendingCancelsWhenConditionClearsBeforeFor) {

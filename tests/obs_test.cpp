@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -212,6 +213,105 @@ TEST(JsonParse, CommittedBenchBaselinesStillParse) {
   text << in.rdbuf();
   const obs::JsonValue doc = obs::JsonValue::parse(text.str());
   EXPECT_FALSE(doc.at("metrics").asObject().empty());
+}
+
+TEST(JsonWriter, SeparatorsAtEveryNestingDepth) {
+  std::string out;
+  obs::JsonWriter w(out);
+  w.beginObject().key("a").value(1).key("b").beginArray().value(2).value(3)
+      .beginObject().key("c").beginArray().beginArray().value(4).endArray()
+      .beginArray().endArray().endArray().key("d").value(true).endObject()
+      .value("e").endArray().key("f").null().endObject();
+  EXPECT_EQ(out, R"({"a":1,"b":[2,3,{"c":[[4],[]],"d":true},"e"],"f":null})");
+  EXPECT_TRUE(obs::JsonValue::parse(out).isObject());
+}
+
+TEST(JsonWriter, EscapesKeysAndValuesIncludingControlCharacters) {
+  const std::string raw = std::string("q\"b\\s/\n\t\r\b\f") + '\x01' + '\x1f' +
+                          "\xc3\xa9";
+  std::string out;
+  obs::JsonWriter w(out);
+  w.beginObject().key(raw).value(raw).endObject();
+  const std::string esc = R"("q\"b\\s/\n\t\r\b\f\u0001\u001f)"
+                          "\xc3\xa9\"";
+  EXPECT_EQ(out, "{" + esc + ":" + esc + "}");
+  const obs::JsonValue doc = obs::JsonValue::parse(out);
+  EXPECT_EQ(doc.at(raw).asString(), raw);
+}
+
+TEST(JsonWriter, NumbersAreExactAndNonFiniteDoublesAreNull) {
+  std::string out;
+  obs::JsonWriter w(out);
+  w.beginArray()
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(std::uint16_t{7}).value(-0.5).value(0.1).value(1e300)
+      .value(std::numeric_limits<double>::infinity())
+      .value(-std::numeric_limits<double>::infinity())
+      .value(std::numeric_limits<double>::quiet_NaN()).value(false)
+      .endArray();
+  EXPECT_EQ(out,
+            "[18446744073709551615,-9223372036854775808,7,-0.5,0.1,1e+300,"
+            "null,null,null,false]");
+  EXPECT_TRUE(obs::JsonValue::parse(out).isArray());
+}
+
+TEST(JsonWriter, LineBreakBeforeAnElementOrBeforeTheClosingBracket) {
+  std::string out;
+  obs::JsonWriter w(out);
+  // Before an element the break follows the comma; before a closing
+  // bracket it stands alone; breaks asked for before one element add up.
+  w.beginArray().newline("  ").value(1).newline("  ").value(2).newline()
+      .endArray();
+  EXPECT_EQ(out, "[\n  1,\n  2\n]");
+  out.clear();
+  obs::JsonWriter twice(out);
+  twice.beginArray().newline().newline().endArray();
+  EXPECT_EQ(out, "[\n\n]");
+}
+
+TEST(JsonWriter, SpacedStyleAndEmptyContainers) {
+  std::string out;
+  obs::JsonWriter w(out, obs::JsonWriter::Style::kSpaced);
+  w.beginObject().newline("  ").key("a").beginArray().endArray()
+      .newline("  ").key("b").beginObject().endObject().newline("  ")
+      .key("c").beginArray().value(1).value("x").beginArray().value(2)
+      .value(3).endArray().endArray().newline().endObject();
+  EXPECT_EQ(out,
+            "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [1, \"x\", [2, 3]]\n}");
+  EXPECT_TRUE(obs::JsonValue::parse(out).isObject());
+}
+
+TEST(JsonWriter, TokenEmbedsANestedDocumentVerbatim) {
+  std::string inner;
+  obs::JsonWriter(inner).beginArray().value(1).value("two").endArray();
+  std::string out;
+  obs::JsonWriter w(out);
+  w.beginObject().key("n").token("1.50").key("doc").token(inner).key("z")
+      .value(0).endObject();
+  EXPECT_EQ(out, R"({"n":1.50,"doc":[1,"two"],"z":0})");
+  EXPECT_EQ(obs::JsonValue::parse(out).at("doc").asArray().size(), 2u);
+}
+
+TEST(Exporters, NonFiniteValuesAreNullInJsonButKeptInTextFormats) {
+  obs::MetricsRegistry reg;
+  reg.gauge("vfpga_inf_gauge").set(std::numeric_limits<double>::infinity());
+  reg.gauge("vfpga_nan_gauge").set(std::numeric_limits<double>::quiet_NaN());
+  // JSON has no +Inf/NaN tokens: the strict parser would throw on them.
+  const obs::JsonValue arr = obs::JsonValue::parse(obs::renderMetricsJson(reg));
+  ASSERT_EQ(arr.asArray().size(), 2u);
+  for (const obs::JsonValue& m : arr.asArray()) {
+    EXPECT_TRUE(m.at("value").isNull()) << m.at("name").asString();
+  }
+  // Prometheus and CSV spell them out as before.
+  const std::string prom = obs::renderPrometheus(reg);
+  EXPECT_NE(prom.find("vfpga_inf_gauge +Inf\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("vfpga_nan_gauge NaN\n"), std::string::npos) << prom;
+  const std::string csv = obs::renderCsv(reg);
+  EXPECT_NE(csv.find("gauge,value,+Inf\n"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("gauge,value,NaN\n"), std::string::npos) << csv;
+  EXPECT_EQ(obs::formatDouble(-std::numeric_limits<double>::infinity()),
+            "-Inf");
 }
 
 TEST(Prometheus, RoundTripPreservesEveryScalar) {

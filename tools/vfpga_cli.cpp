@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <limits>
 #include <map>
 #include <optional>
@@ -1068,23 +1067,22 @@ int reportCmd(const Args& a) {
     for (const TaskLinks& t : taskLinks) resolved += t.resolved ? 1 : 0;
     std::ostringstream os;
     if (fmt == "json") {
-      os << "{\n\"configs\":[";
-      for (std::size_t i = 0; i < linkRows.size(); ++i) {
-        const LinkRow& r = linkRows[i];
-        os << (i ? ",\n" : "\n") << "{\"policy\":\"" << obs::jsonEscape(r.policy)
-           << "\",\"config\":\"" << obs::jsonEscape(r.config)
-           << "\",\"compile_span\":" << r.compileSpan
-           << ",\"download_spans\":" << r.downloads
-           << ",\"exec_spans\":" << r.execs << "}";
+      std::string out;
+      obs::JsonWriter w(out);
+      w.beginObject().newline().key("configs").beginArray();
+      for (const LinkRow& r : linkRows) {
+        w.newline().beginObject().key("policy").value(r.policy).key("config")
+            .value(r.config).key("compile_span").value(r.compileSpan)
+            .key("download_spans").value(r.downloads).key("exec_spans")
+            .value(r.execs).endObject();
       }
-      os << "\n],\n\"tasks\":[";
-      for (std::size_t i = 0; i < taskLinks.size(); ++i) {
-        const TaskLinks& t = taskLinks[i];
-        os << (i ? ",\n" : "\n") << "{\"policy\":\"" << obs::jsonEscape(t.policy)
-           << "\",\"task\":\"" << obs::jsonEscape(t.task)
-           << "\",\"resolved\":" << (t.resolved ? "true" : "false") << "}";
+      w.newline().endArray().newline().key("tasks").beginArray();
+      for (const TaskLinks& t : taskLinks) {
+        w.newline().beginObject().key("policy").value(t.policy).key("task")
+            .value(t.task).key("resolved").value(t.resolved).endObject();
       }
-      os << "\n]\n}\n";
+      w.newline().endArray().newline().endObject();
+      os << out << '\n';
     } else {
       os << "span links (compile -> OS)\n";
       os << "==========================\n";
@@ -1200,9 +1198,10 @@ int lintCmd(const Args& a) {
   const auto width = stripWidth(a);
   std::size_t errors = 0;
   std::size_t warnings = 0;
-  if (json) std::printf("[");
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    const AppCircuit& circuit = circuits[i];
+  std::string doc;
+  obs::JsonWriter w(doc);
+  if (json) w.beginArray();
+  for (const AppCircuit& circuit : circuits) {
     analysis::Report rep;
     // A flow failure (CompileError, ...) on one circuit must not corrupt
     // the machine-readable stream: it is captured per circuit, keeping the
@@ -1237,12 +1236,9 @@ int lintCmd(const Args& a) {
     errors += rep.errorCount();
     warnings += rep.warningCount();
     if (json) {
-      std::printf("%s{\"name\":\"%s\",", i == 0 ? "" : ",",
-                  circuit.name.c_str());
-      if (!failure.empty()) {
-        std::printf("\"error\":\"%s\",", obs::jsonEscape(failure).c_str());
-      }
-      std::printf("\"report\":%s}", rep.renderJson().c_str());
+      w.beginObject().key("name").value(circuit.name);
+      if (!failure.empty()) w.key("error").value(failure);
+      w.key("report").token(rep.renderJson()).endObject();
     } else {
       if (!failure.empty()) {
         std::fprintf(stderr, "lint: %s: %s\n", circuit.name.c_str(),
@@ -1253,7 +1249,8 @@ int lintCmd(const Args& a) {
     }
   }
   if (json) {
-    std::printf("]\n");
+    w.endArray();
+    std::printf("%s\n", doc.c_str());
   } else {
     std::printf("lint: %zu error(s), %zu warning(s) across %zu circuit(s)\n",
                 errors, warnings, circuits.size());
@@ -1285,10 +1282,11 @@ int equivCmd(const Args& a) {
   };
   const bool json = a.has("json");
   std::ostringstream os;
+  std::string doc;
+  obs::JsonWriter w(doc);
   std::size_t failed = 0;
-  if (json) os << "[";
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    const AppCircuit& circuit = circuits[i];
+  if (json) w.beginArray();
+  for (const AppCircuit& circuit : circuits) {
     std::vector<Stage> stages;
     std::string failure;
     try {
@@ -1321,41 +1319,31 @@ int equivCmd(const Args& a) {
     if (!circuitOk) ++failed;
 
     if (json) {
-      os << (i == 0 ? "" : ",") << "\n{\"name\":\""
-         << obs::jsonEscape(circuit.name) << "\"";
-      if (!failure.empty()) {
-        os << ",\"error\":\"" << obs::jsonEscape(failure) << "\"";
-      }
-      os << ",\"equivalent\":" << (circuitOk ? "true" : "false")
-         << ",\"stages\":[";
-      for (std::size_t s = 0; s < stages.size(); ++s) {
-        const Stage& st = stages[s];
-        os << (s == 0 ? "" : ",") << "{\"stage\":\"" << st.name
-           << "\",\"equivalent\":" << (st.chk.ok() ? "true" : "false")
-           << ",\"fully_proven\":"
-           << (st.chk.result.fullyProven ? "true" : "false") << ",\"summary\":\""
-           << obs::jsonEscape(st.chk.result.summary()) << "\"";
+      w.newline().beginObject().key("name").value(circuit.name);
+      if (!failure.empty()) w.key("error").value(failure);
+      w.key("equivalent").value(circuitOk).key("stages").beginArray();
+      for (const Stage& st : stages) {
+        w.beginObject().key("stage").value(st.name).key("equivalent")
+            .value(st.chk.ok()).key("fully_proven")
+            .value(st.chk.result.fullyProven).key("summary")
+            .value(st.chk.result.summary());
         if (!st.chk.extracted.problems.empty()) {
-          os << ",\"extraction_problems\":[";
-          for (std::size_t k = 0; k < st.chk.extracted.problems.size(); ++k) {
-            os << (k == 0 ? "" : ",") << "\""
-               << obs::jsonEscape(st.chk.extracted.problems[k]) << "\"";
+          w.key("extraction_problems").beginArray();
+          for (const std::string& prob : st.chk.extracted.problems) {
+            w.value(prob);
           }
-          os << "]";
+          w.endArray();
         }
         if (!st.chk.result.counterexamples.empty()) {
-          os << ",\"counterexamples\":[";
-          for (std::size_t k = 0; k < st.chk.result.counterexamples.size();
-               ++k) {
-            os << (k == 0 ? "" : ",") << "\""
-               << obs::jsonEscape(st.chk.result.counterexamples[k].render())
-               << "\"";
+          w.key("counterexamples").beginArray();
+          for (const auto& cx : st.chk.result.counterexamples) {
+            w.value(cx.render());
           }
-          os << "]";
+          w.endArray();
         }
-        os << "}";
+        w.endObject();
       }
-      os << "]}";
+      w.endArray().endObject();
     } else {
       os << "== " << circuit.name << " ==\n";
       if (!failure.empty()) os << "  flow error: " << failure << "\n";
@@ -1379,12 +1367,13 @@ int equivCmd(const Args& a) {
     }
   }
   if (json) {
-    os << "\n]\n";
+    w.newline().endArray();
+    doc += '\n';
   } else {
     os << "equiv: " << circuits.size() << " circuit(s), " << failed
        << " failure(s)\n";
   }
-  const int rc = emitPayload(a, os.str());
+  const int rc = emitPayload(a, json ? doc : os.str());
   if (rc != 0) return rc;
   return failed != 0 ? 1 : 0;
 }
@@ -2281,7 +2270,7 @@ int monitorCmd(const Args& a) {
             {{"rule", t.rule},
              {"to", t.to},
              {"severity", obs::monitor::alertSeverityName(t.severity)},
-             {"value", obs::monitor::formatSampleValue(t.value)}},
+             {"value", obs::formatDouble(t.value)}},
             0);
         if (obs::FlightRecorder* fr = obs::FlightRecorder::global()) {
           fr->note(t.atNs, "alert " + t.rule + " -> " + t.to);
@@ -2476,20 +2465,19 @@ int profileCmd(const Args& a) {
                   ? renderCollapsedStacks(input)
                   : renderSpeedscope(input, "vfpga profile - " + p.name);
   } else if (fmt == "json") {
-    std::ostringstream os;
-    os << "{";
-    bool first = true;
-    auto section = [&os, &first](const char* key, const std::string& body) {
-      os << (first ? "" : ",") << "\n\"" << key << "\":" << body;
-      first = false;
-    };
+    obs::JsonWriter w(payload);
+    w.beginObject();
     if (allSections || selActivity) {
-      section("activity", activity.renderJson(topk));
+      w.newline().key("activity").token(activity.renderJson(topk));
     }
-    if (allSections || selWaterfall) section("waterfall", renderJson(wf));
-    if (allSections || selLedger) section("ledger", ledger.renderJson());
-    os << "}\n";
-    payload = os.str();
+    if (allSections || selWaterfall) {
+      w.newline().key("waterfall").token(renderJson(wf));
+    }
+    if (allSections || selLedger) {
+      w.newline().key("ledger").token(ledger.renderJson());
+    }
+    w.endObject();
+    payload += '\n';
   } else {
     std::ostringstream os;
     if (allSections || selActivity) {
@@ -2580,10 +2568,15 @@ int benchTrendCmd(const Args& a) {
   std::size_t compared = 0;
   std::size_t missing = 0;
   std::size_t regressions = 0;
-  std::ostringstream trend;
-  trend << std::setprecision(15);
-  trend << "{\n\"tolerance\":" << tol << ",\n\"rows\":[";
-  bool first = true;
+  const auto g15 = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.15g", v);
+    return std::string(buf);
+  };
+  std::string trend;
+  obs::JsonWriter w(trend);
+  w.beginObject().newline().key("tolerance").token(g15(tol)).newline()
+      .key("rows").beginArray();
   for (const auto& [key, bv] : metrics) {
     const double base = bv.asNumber();
     const auto it = current.find(key);
@@ -2609,20 +2602,20 @@ int benchTrendCmd(const Args& a) {
                      key.c_str(), base, cur, 100.0 * delta);
       }
     }
-    trend << (first ? "" : ",") << "\n{\"metric\":\"" << obs::jsonEscape(key)
-          << "\",\"baseline\":" << base << ",\"current\":" << cur
-          << ",\"delta\":" << delta << ",\"status\":\"" << status << "\"}";
-    first = false;
+    w.newline().beginObject().key("metric").value(key).key("baseline")
+        .token(g15(base)).key("current").token(g15(cur)).key("delta")
+        .token(g15(delta)).key("status").value(status).endObject();
   }
-  trend << "\n],\n\"sidecars\":" << sidecars << ",\"compared\":" << compared
-        << ",\"new\":" << (current.size() - compared)
-        << ",\"missing\":" << missing << ",\"regressions\":" << regressions
-        << "\n}\n";
+  w.newline().endArray().newline().key("sidecars").value(sidecars)
+      .key("compared").value(compared).key("new")
+      .value(current.size() - compared).key("missing").value(missing)
+      .key("regressions").value(regressions).newline().endObject();
+  trend += '\n';
   std::fprintf(stderr,
                "bench-trend: %zu sidecars, %zu compared, %zu missing,"
                " %zu regressions (tolerance +/-%.0f%%)\n",
                sidecars, compared, missing, regressions, 100.0 * tol);
-  const int rc = emitPayload(a, trend.str());
+  const int rc = emitPayload(a, trend);
   if (rc != 0) return rc;
   return regressions == 0 && missing == 0 ? 0 : 1;
 }

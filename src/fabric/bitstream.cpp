@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "sim/bytes.hpp"
+
 namespace vfpga {
 
 std::uint16_t crc16Bits(std::span<const std::uint8_t> bits,
@@ -97,118 +99,59 @@ std::vector<std::uint32_t> diffFrames(const ConfigImage& a,
 
 namespace {
 
-void putU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return bytes_[pos_++];
-  }
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        bytes_[pos_] | (bytes_[pos_ + 1] << 8));
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  std::span<const std::uint8_t> raw(std::size_t n) {
-    need(n);
-    auto s = bytes_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  bool atEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  void need(std::size_t n) const {
-    if (pos_ + n > bytes_.size()) {
-      throw std::runtime_error("truncated bitstream file");
-    }
-  }
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
 constexpr std::uint8_t kMagic[4] = {'V', 'F', 'P', 'B'};
 constexpr std::uint16_t kFormatVersion = 1;
 
 }  // namespace
 
 std::vector<std::uint8_t> serializeBitstream(const Bitstream& bs) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-  putU16(out, kFormatVersion);
-  putU32(out, bs.frameBits);
-  out.push_back(bs.full ? 1 : 0);
-  putU32(out, static_cast<std::uint32_t>(bs.frames.size()));
-  const std::size_t payloadBytes = (bs.frameBits + 7) / 8;
+  ByteWriter out;
+  out.raw(kMagic);
+  out.u16(kFormatVersion);
+  out.u32(bs.frameBits);
+  out.u8(bs.full ? 1 : 0);
+  out.u32(static_cast<std::uint32_t>(bs.frames.size()));
   for (const Frame& f : bs.frames) {
-    putU32(out, f.id);
-    for (std::size_t byte = 0; byte < payloadBytes; ++byte) {
-      std::uint8_t packed = 0;
-      for (std::size_t bit = 0; bit < 8; ++bit) {
-        const std::size_t idx = byte * 8 + bit;
-        if (idx < f.payload.size() && f.payload[idx]) {
-          packed |= static_cast<std::uint8_t>(1u << bit);
-        }
-      }
-      out.push_back(packed);
-    }
+    out.u32(f.id);
+    out.bits(f.payload, bs.frameBits);
   }
-  putU16(out, bs.crc);
-  return out;
+  out.u16(bs.crc);
+  return out.take();
 }
 
 Bitstream deserializeBitstream(std::span<const std::uint8_t> bytes) {
   ByteReader in(bytes);
+  // Checked before each field's own test, so the first guard that fails
+  // names the damage.
+  const auto requireBytes = [&in] {
+    if (!in.ok()) throw std::runtime_error("truncated bitstream file");
+  };
   for (std::uint8_t m : kMagic) {
-    if (in.u8() != m) throw std::runtime_error("bad bitstream magic");
+    const std::uint8_t b = in.u8();
+    requireBytes();
+    if (b != m) throw std::runtime_error("bad bitstream magic");
   }
-  if (in.u16() != kFormatVersion) {
+  const std::uint16_t version = in.u16();
+  requireBytes();
+  if (version != kFormatVersion) {
     throw std::runtime_error("unsupported bitstream format version");
   }
   Bitstream bs;
   bs.frameBits = in.u32();
+  requireBytes();
   if (bs.frameBits == 0 || bs.frameBits > (1u << 20)) {
     throw std::runtime_error("implausible frame size");
   }
   bs.full = in.u8() != 0;
-  const std::uint32_t frames = in.u32();
-  const std::size_t payloadBytes = (bs.frameBits + 7) / 8;
-  bs.frames.reserve(frames);
-  for (std::uint32_t f = 0; f < frames; ++f) {
-    Frame frame;
+  const std::uint32_t frames = in.count(4 + packedBytes(bs.frameBits));
+  requireBytes();
+  bs.frames.resize(frames);
+  for (Frame& frame : bs.frames) {
     frame.id = in.u32();
-    frame.payload.resize(bs.frameBits);
-    const auto raw = in.raw(payloadBytes);
-    for (std::uint32_t bit = 0; bit < bs.frameBits; ++bit) {
-      frame.payload[bit] = (raw[bit / 8] >> (bit % 8)) & 1;
-    }
-    bs.frames.push_back(std::move(frame));
+    in.bits(frame.payload, bs.frameBits);
   }
   bs.crc = in.u16();
+  requireBytes();
   if (!in.atEnd()) throw std::runtime_error("trailing bytes in bitstream");
   if (!bs.crcOk()) throw std::runtime_error("bitstream CRC mismatch");
   return bs;

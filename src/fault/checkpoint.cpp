@@ -7,127 +7,48 @@
 
 #include "fabric/bitstream.hpp"
 #include "fault/recovery.hpp"
+#include "sim/bytes.hpp"
 
 namespace vfpga::fault {
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'F', 'C', 'K'};
-// magic + version + generation + payloadLen.
-constexpr std::size_t kHeaderBytes = 4 + 2 + 8 + 4;
-
-void putU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void putStr(std::vector<std::uint8_t>& out, const std::string& s) {
-  putU32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked little-endian reader; any overrun poisons the cursor so
-/// truncation surfaces as a single "payload truncated" diagnostic instead
-/// of garbage fields.
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t len;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool need(std::size_t n) {
-    if (!ok || len - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint16_t u16() {
-    if (!need(2)) return 0;
-    const std::uint16_t v =
-        static_cast<std::uint16_t>(p[pos] | (p[pos + 1] << 8));
-    pos += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[pos + i]} << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[pos + i]} << (8 * i);
-    pos += 8;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!need(n)) return {};
-    std::string s(reinterpret_cast<const char*>(p + pos), n);
-    pos += n;
-    return s;
-  }
-};
+constexpr std::uint8_t kMagic[4] = {'V', 'F', 'C', 'K'};
 
 std::vector<std::uint8_t> encodePayload(const TaskCheckpoint& ck) {
-  std::vector<std::uint8_t> out;
-  putStr(out, ck.task);
-  putU64(out, static_cast<std::uint64_t>(static_cast<std::int64_t>(
-                  ck.priority)));
-  putStr(out, ck.device);
-  putU16(out, ck.placementX0);
-  putU16(out, ck.placementWidth);
-  putU32(out, static_cast<std::uint32_t>(ck.ops.size()));
+  ByteWriter out;
+  out.str(ck.task);
+  out.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(ck.priority)));
+  out.str(ck.device);
+  out.u16(ck.placementX0);
+  out.u16(ck.placementWidth);
+  out.u32(static_cast<std::uint32_t>(ck.ops.size()));
   for (const CheckpointOp& op : ck.ops) {
-    out.push_back(op.isFpga ? 1 : 0);
+    out.u8(op.isFpga ? 1 : 0);
     if (op.isFpga) {
-      putStr(out, op.config);
-      putU16(out, op.configWidth);
-      putU64(out, op.cycles);
+      out.str(op.config);
+      out.u16(op.configWidth);
+      out.u64(op.cycles);
     } else {
-      putU64(out, static_cast<std::uint64_t>(op.cpuNs));
+      out.u64(static_cast<std::uint64_t>(op.cpuNs));
     }
   }
   // Register snapshot: bit count, packed bytes, then its own CRC so
   // targeted register rot is caught even inside an otherwise intact
   // payload (the same guard the loader applies to parked snapshots).
-  putU32(out, static_cast<std::uint32_t>(ck.registers.size()));
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < ck.registers.size(); ++i) {
-    acc = static_cast<std::uint8_t>(acc | (ck.registers[i] ? 1 : 0)
-                                              << (i % 8));
-    if (i % 8 == 7) {
-      out.push_back(acc);
-      acc = 0;
-    }
-  }
-  if (ck.registers.size() % 8 != 0) out.push_back(acc);
-  putU16(out, stateCrc(ck.registers));
+  out.u32(static_cast<std::uint32_t>(ck.registers.size()));
+  out.bits(ck.registers, ck.registers.size());
+  out.u16(stateCrc(ck.registers));
   auto putIds = [&out](const std::vector<std::uint32_t>& ids) {
-    putU32(out, static_cast<std::uint32_t>(ids.size()));
-    for (const std::uint32_t id : ids) putU32(out, id);
+    out.u32(static_cast<std::uint32_t>(ids.size()));
+    for (const std::uint32_t id : ids) out.u32(id);
   };
   putIds(ck.overlayResidency);
   putIds(ck.segmentResidency);
   putIds(ck.pageResidency);
-  putU32(out, static_cast<std::uint32_t>(ck.ioBindings.size()));
-  for (const std::string& b : ck.ioBindings) putStr(out, b);
-  return out;
+  out.u32(static_cast<std::uint32_t>(ck.ioBindings.size()));
+  for (const std::string& b : ck.ioBindings) out.str(b);
+  return out.take();
 }
 
 /// Task names become file stems; anything outside [A-Za-z0-9._-] maps to
@@ -148,26 +69,26 @@ std::string sanitize(const std::string& name) {
 std::vector<std::uint8_t> encodeCheckpoint(const TaskCheckpoint& ck,
                                            std::uint64_t generation) {
   const std::vector<std::uint8_t> payload = encodePayload(ck);
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size() + 2);
-  out.insert(out.end(), kMagic, kMagic + 4);
-  putU16(out, kCheckpointVersion);
-  putU64(out, generation);
-  putU32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  putU16(out, crc16Bytes(payload));
-  return out;
+  ByteWriter out;
+  out.raw(kMagic);
+  out.u16(kCheckpointVersion);
+  out.u64(generation);
+  out.u32(static_cast<std::uint32_t>(payload.size()));
+  out.raw(payload);
+  out.u16(crc16Bytes(payload));
+  return out.take();
 }
 
 DecodeResult decodeCheckpoint(const std::vector<std::uint8_t>& bytes) {
   DecodeResult r;
-  if (bytes.size() < kHeaderBytes + 2 ||
+  if (bytes.size() < kCheckpointHeaderBytes + 2 ||
       !std::equal(kMagic, kMagic + 4, bytes.begin())) {
     r.diagnostic = "bad magic (not a checkpoint file)";
     return r;
   }
   r.magicOk = true;
-  Reader hdr{bytes.data() + 4, bytes.size() - 4};
+  ByteReader hdr(bytes);
+  hdr.raw(sizeof kMagic);
   r.version = hdr.u16();
   if (r.version != kCheckpointVersion) {
     r.diagnostic = "unsupported version " + std::to_string(r.version);
@@ -176,35 +97,30 @@ DecodeResult decodeCheckpoint(const std::vector<std::uint8_t>& bytes) {
   r.versionSupported = true;
   r.generation = hdr.u64();
   const std::uint32_t payloadLen = hdr.u32();
-  if (bytes.size() != kHeaderBytes + payloadLen + 2) {
+  if (hdr.remaining() != std::size_t{payloadLen} + 2) {
     r.diagnostic = "length mismatch (header claims " +
                    std::to_string(payloadLen) + " payload bytes, file has " +
-                   std::to_string(bytes.size() - kHeaderBytes - 2) + ")";
+                   std::to_string(hdr.remaining() - 2) + ")";
     return r;
   }
   r.lengthOk = true;
-  const std::uint8_t* payload = bytes.data() + kHeaderBytes;
-  const std::uint16_t storedCrc = static_cast<std::uint16_t>(
-      bytes[kHeaderBytes + payloadLen] |
-      (bytes[kHeaderBytes + payloadLen + 1] << 8));
-  if (crc16Bytes({payload, payloadLen}) != storedCrc) {
+  const std::span<const std::uint8_t> payload = hdr.raw(payloadLen);
+  if (crc16Bytes(payload) != hdr.u16()) {
     r.diagnostic = "payload CRC mismatch";
     return r;
   }
   r.payloadCrcOk = true;
 
-  Reader rd{payload, payloadLen};
+  ByteReader rd(payload);
   TaskCheckpoint ck;
   ck.task = rd.str();
   ck.priority = static_cast<int>(static_cast<std::int64_t>(rd.u64()));
   ck.device = rd.str();
   ck.placementX0 = rd.u16();
   ck.placementWidth = rd.u16();
-  const std::uint32_t opCount = rd.u32();
-  for (std::uint32_t i = 0; i < opCount && rd.ok; ++i) {
-    CheckpointOp op;
-    if (!rd.need(1)) break;
-    op.isFpga = rd.p[rd.pos++] != 0;
+  ck.ops.resize(rd.count(1 + 8));  // the smallest op: flag + CPU burst
+  for (CheckpointOp& op : ck.ops) {
+    op.isFpga = rd.u8() != 0;
     if (op.isFpga) {
       op.config = rd.str();
       op.configWidth = rd.u16();
@@ -212,30 +128,19 @@ DecodeResult decodeCheckpoint(const std::vector<std::uint8_t>& bytes) {
     } else {
       op.cpuNs = static_cast<SimDuration>(rd.u64());
     }
-    ck.ops.push_back(std::move(op));
   }
-  const std::uint32_t regBits = rd.u32();
-  const std::uint32_t regBytes = (regBits + 7) / 8;
-  if (rd.need(regBytes)) {
-    ck.registers.resize(regBits);
-    for (std::uint32_t i = 0; i < regBits; ++i) {
-      ck.registers[i] = (rd.p[rd.pos + i / 8] >> (i % 8)) & 1;
-    }
-    rd.pos += regBytes;
-  }
+  rd.bits(ck.registers, rd.u32());
   const std::uint16_t storedStateCrc = rd.u16();
   auto getIds = [&rd](std::vector<std::uint32_t>& ids) {
-    const std::uint32_t n = rd.u32();
-    for (std::uint32_t i = 0; i < n && rd.ok; ++i) ids.push_back(rd.u32());
+    ids.resize(rd.count(4));
+    for (std::uint32_t& id : ids) id = rd.u32();
   };
   getIds(ck.overlayResidency);
   getIds(ck.segmentResidency);
   getIds(ck.pageResidency);
-  const std::uint32_t bindings = rd.u32();
-  for (std::uint32_t i = 0; i < bindings && rd.ok; ++i) {
-    ck.ioBindings.push_back(rd.str());
-  }
-  if (!rd.ok) {
+  ck.ioBindings.resize(rd.count(4));  // each at least its u32 length
+  for (std::string& b : ck.ioBindings) b = rd.str();
+  if (!rd.ok()) {
     r.diagnostic = "payload truncated";
     return r;
   }
@@ -298,11 +203,12 @@ std::uint64_t CheckpointStore::latestOnDisk(const std::string& task) const {
   for (unsigned slot = 0; slot < 2; ++slot) {
     const std::vector<std::uint8_t> bytes =
         readAll(slotPath(task, slot));
-    if (bytes.size() < kHeaderBytes ||
+    if (bytes.size() < kCheckpointHeaderBytes ||
         !std::equal(kMagic, kMagic + 4, bytes.begin())) {
       continue;
     }
-    Reader hdr{bytes.data() + 4, bytes.size() - 4};
+    ByteReader hdr(bytes);
+    hdr.raw(sizeof kMagic);
     hdr.u16();  // version — numbering must advance past even bad slots
     latest = std::max(latest, hdr.u64());
   }

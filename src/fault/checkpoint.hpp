@@ -38,6 +38,8 @@
 namespace vfpga::fault {
 
 inline constexpr std::uint16_t kCheckpointVersion = 1;
+/// Bytes in front of the payload: magic, version, generation, payloadLen.
+inline constexpr std::size_t kCheckpointHeaderBytes = 4 + 2 + 8 + 4;
 
 /// One op of the remaining program. FPGA executions reference their
 /// configuration by name + strip width so the restoring kernel can resolve

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -111,6 +112,47 @@ std::string renderChromeTrace(const ChromeTraceInput& input) {
   return out;
 }
 
+std::string renderTimelineCsv(const ChromeTraceInput& input) {
+  std::string out = "process,type,track,category,name,start_ns,duration_ns\n";
+  auto row = [&out](const std::string& proc, const char* type,
+                    std::uint32_t track, const std::string& category,
+                    const std::string& name, std::uint64_t start,
+                    std::uint64_t dur) {
+    out += csvField(proc) + ',' + type + ',' + std::to_string(track) + ',' +
+           csvField(category) + ',' + csvField(name) + ',' +
+           std::to_string(start) + ',' + std::to_string(dur) + '\n';
+  };
+  auto addTracer = [&row](const std::string& proc, const SpanTracer* t) {
+    if (t == nullptr) return;
+    for (const SpanRecord& s : t->spans()) {
+      row(proc, "span", s.track, s.category, s.name, s.startNs, s.durationNs);
+    }
+    for (const InstantRecord& i : t->instants()) {
+      row(proc, "instant", i.track, i.category, i.name, i.atNs, 0);
+    }
+  };
+  addTracer("flow", input.wall);
+  for (const SimProcessTrace& p : input.sim) {
+    addTracer(p.name, p.spans);
+    if (p.trace != nullptr) {
+      for (const TraceRecord& r : p.trace->records()) {
+        row(p.name, "trace", 0, "os.trace", traceKindName(r.kind), r.at, 0);
+      }
+    }
+  }
+  return out;
+}
+
+namespace {
+
+/// A trace_event time in microseconds as whole nanoseconds, clamped to
+/// +-2^61 so a span's end (start + duration) cannot overflow.
+std::int64_t nanosOf(double micros) {
+  return std::llround(std::clamp(micros * 1000.0, -0x1p61, 0x1p61));
+}
+
+}  // namespace
+
 std::vector<std::string> validateChromeTrace(std::string_view json) {
   std::vector<std::string> problems;
   JsonValue doc;
@@ -131,7 +173,7 @@ std::vector<std::string> validateChromeTrace(std::string_view json) {
   }
 
   struct Interval {
-    double start, end;
+    std::int64_t start, end;  ///< nanoseconds
     std::string name;
   };
   std::map<std::pair<double, double>, std::vector<Interval>> tracks;
@@ -173,8 +215,8 @@ std::vector<std::string> validateChromeTrace(std::string_view json) {
         problems.push_back(where + ": complete span missing numeric \"dur\"");
         continue;
       }
-      Interval iv{ev.at("ts").asNumber(),
-                  ev.at("ts").asNumber() + ev.at("dur").asNumber(),
+      const std::int64_t start = nanosOf(ev.at("ts").asNumber());
+      Interval iv{start, start + nanosOf(ev.at("dur").asNumber()),
                   ev.has("name") ? ev.at("name").asString() : ""};
       tracks[{ev.at("pid").asNumber(), ev.at("tid").asNumber()}].push_back(iv);
     }
@@ -394,11 +436,39 @@ std::vector<PromSample> parsePrometheus(std::string_view text) {
 
 // ------------------------------------------------------------------ csv
 
+std::string csvField(std::string_view s, bool always) {
+  if (!always && s.find_first_of(",\"\n") == std::string_view::npos) {
+    return std::string(s);
+  }
+  std::string quoted = "\"";
+  for (const char c : s) {
+    if (c == '"') quoted += '"';
+    quoted += c;
+  }
+  return quoted + '"';
+}
+
+std::string htmlEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      case '\'': out += "&#39;"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
 std::string renderCsv(const MetricsRegistry& registry) {
   std::ostringstream os;
   os << "name,labels,kind,field,value\n";
   auto row = [&](const Metric* m, const char* field, const std::string& v) {
-    os << m->name << ",\"" << labelsToString(m->labels) << "\","
+    os << m->name << "," << csvField(labelsToString(m->labels), true) << ","
        << metricKindName(m->kind()) << "," << field << "," << v << "\n";
   };
   for (const Metric* m : registry.sorted()) {

@@ -37,10 +37,15 @@ struct ChromeTraceInput {
 /// from (wall or simulated) nanoseconds to trace_event microseconds.
 std::string renderChromeTrace(const ChromeTraceInput& input);
 
+/// CSV sibling of the Chrome export: spans, instants and Trace records of
+/// every process as flat rows.
+std::string renderTimelineCsv(const ChromeTraceInput& input);
+
 /// Structural validation against the trace_event format: returns the list
 /// of problems (empty = valid). Checks the envelope, per-event required
 /// keys and types, known phase codes, and that complete-spans on one
-/// (pid, tid) track nest properly (no partial overlap).
+/// (pid, tid) track nest properly (no partial overlap), in whole
+/// nanoseconds so back-to-back spans never overlap through double rounding.
 std::vector<std::string> validateChromeTrace(std::string_view json);
 
 /// Prometheus text exposition (# HELP/# TYPE + samples). Stats metrics
@@ -58,7 +63,16 @@ struct PromSample {
 /// std::runtime_error on malformed lines. Backs the round-trip tests.
 std::vector<PromSample> parsePrometheus(std::string_view text);
 
-/// `name,labels,kind,field,value` rows, one per exported scalar.
+/// `s` as one CSV field: wrapped in double quotes with every `"` doubled
+/// when it holds `,`, `"` or a newline (or `always`), else unchanged.
+std::string csvField(std::string_view s, bool always = false);
+
+/// `s` as HTML text or attribute content: `&`, `<`, `>`, `"` and `'`
+/// become character references.
+std::string htmlEscape(std::string_view s);
+
+/// `name,labels,kind,field,value` rows, one per exported scalar; the labels
+/// column is always quoted.
 std::string renderCsv(const MetricsRegistry& registry);
 
 /// JSON array of metric objects (used by the flight recorder and

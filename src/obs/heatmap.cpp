@@ -1,5 +1,6 @@
 #include "obs/heatmap.hpp"
 
+#include "obs/exporters.hpp"
 #include "obs/json.hpp"
 
 namespace vfpga::obs {
@@ -23,7 +24,7 @@ std::string HeatmapCollector::renderCsv() const {
   for (const HeatmapSample& s : samples_) {
     out += std::to_string(s.atNs);
     out += ',';
-    out += s.event;
+    out += csvField(s.event);
     for (CellState cell : s.cells) {
       out += ',';
       out += std::to_string(static_cast<unsigned>(cell));
@@ -52,7 +53,7 @@ std::string HeatmapCollector::renderHtml(std::string_view title) const {
   std::string out;
   out +=
       "<!doctype html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n<title>";
-  out += title;
+  out += htmlEscape(title);
   out += "</title>\n<style>\n"
          "body{font-family:monospace;background:#fff;color:#222;}\n"
          "table{border-collapse:collapse;}\n"
@@ -63,7 +64,7 @@ std::string HeatmapCollector::renderHtml(std::string_view title) const {
          ".legend span{padding:0 8px;margin-right:6px;border:1px solid "
          "#ddd;}\n"
          "</style>\n</head>\n<body>\n<h1>";
-  out += title;
+  out += htmlEscape(title);
   out += "</h1>\n<p class=\"legend\"><span class=\"s0\" "
          "style=\"background:#f4f4f4\">idle</span><span "
          "style=\"background:#4caf50\">busy</span><span "
@@ -77,8 +78,8 @@ std::string HeatmapCollector::renderHtml(std::string_view title) const {
   }
   out += "</tr>\n";
   for (const HeatmapSample& s : samples_) {
-    out += "<tr><td>" + std::to_string(s.atNs) + "</td><td>" + s.event +
-           "</td>";
+    out += "<tr><td>" + std::to_string(s.atNs) + "</td><td>" +
+           htmlEscape(s.event) + "</td>";
     for (CellState cell : s.cells) {
       const unsigned v = static_cast<unsigned>(cell);
       out += "<td class=\"s" + std::to_string(v) + "\">" +

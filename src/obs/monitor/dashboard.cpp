@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/exporters.hpp"
 #include "obs/json.hpp"
 
 namespace vfpga::obs::monitor {
@@ -216,7 +217,7 @@ std::string renderMonitorHtml(const DashboardInput& in) {
 
   std::ostringstream os;
   os << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>"
-     << in.title << "</title>\n<style>\n"
+     << htmlEscape(in.title) << "</title>\n<style>\n"
      << "body{font-family:monospace;background:#fafafa;color:#222;"
         "margin:24px}\n"
      << "h1{font-size:18px} h2{font-size:15px;margin:18px 0 6px}\n"
@@ -226,7 +227,7 @@ std::string renderMonitorHtml(const DashboardInput& in) {
      << "svg{background:#fff;border:1px solid #ccc}\n"
      << ".badge{display:inline-block;padding:2px 8px;border-radius:3px;"
         "color:#fff;font-size:12px;margin-right:6px}\n"
-     << "</style></head>\n<body>\n<h1>" << in.title << "</h1>\n"
+     << "</style></head>\n<body>\n<h1>" << htmlEscape(in.title) << "</h1>\n"
      << "<p>t_ns=" << in.atNs << " · ticks=" << store.totalTicks()
      << " (retained " << store.retainedTicks() << ", dropped "
      << store.droppedTicks() << ") · interval_ns="
@@ -237,7 +238,7 @@ std::string renderMonitorHtml(const DashboardInput& in) {
     for (const std::string& dev : in.health->devices()) {
       const HealthGrade g = in.health->grade(dev);
       os << "<span class=\"badge\" style=\"background:" << gradeColor(g)
-         << "\">" << dev << ": " << healthGradeName(g) << " ("
+         << "\">" << htmlEscape(dev) << ": " << healthGradeName(g) << " ("
          << disp(in.health->score(dev)) << ")</span>\n";
     }
     os << "</p>\n";
@@ -248,7 +249,7 @@ std::string renderMonitorHtml(const DashboardInput& in) {
        << "<th>severity</th><th>state</th><th>incidents</th><th>value</th>"
        << "</tr>\n";
     for (const RuleStatus& rs : in.engine->rules()) {
-      os << "<tr><td>" << rs.rule.name << "</td><td>"
+      os << "<tr><td>" << htmlEscape(rs.rule.name) << "</td><td>"
          << ruleKindName(rs.rule.kind) << "</td><td>"
          << alertSeverityName(rs.rule.severity) << "</td><td>"
          << alertStateName(rs.state) << "</td><td>" << rs.incidents
@@ -270,7 +271,7 @@ std::string renderMonitorHtml(const DashboardInput& in) {
     const auto yOf = [&](double v) {
       return plotH - (v - lo) / (hi - lo) * plotH;
     };
-    os << "<div class=\"series\"><div class=\"name\">" << name
+    os << "<div class=\"series\"><div class=\"name\">" << htmlEscape(name)
        << " — last " << disp(store.latest(name)) << " · min " << disp(lo)
        << " · max "
        << disp(vals.empty() ? 1.0 : *std::max_element(vals.begin(),
@@ -301,8 +302,8 @@ std::string renderMonitorHtml(const DashboardInput& in) {
         os << "<line x1=\"" << x << "\" y1=\"0\" x2=\"" << x << "\" y2=\""
            << static_cast<int>(plotH) << "\" stroke=\""
            << transitionColor(tr.to) << "\" stroke-width=\"1\"><title>"
-           << tr.rule << " " << alertStateName(tr.from) << "-&gt;" << tr.to
-           << " @" << tr.atNs << "</title></line>\n";
+           << htmlEscape(tr.rule) << " " << alertStateName(tr.from) << "-&gt;"
+           << tr.to << " @" << tr.atNs << "</title></line>\n";
       }
     }
     os << "</svg></div>\n";
@@ -312,9 +313,9 @@ std::string renderMonitorHtml(const DashboardInput& in) {
     os << "<h2>transitions</h2>\n<table>\n<tr><th>t_ns</th><th>rule</th>"
        << "<th>edge</th><th>value</th></tr>\n";
     for (const AlertTransition& tr : in.engine->transitions()) {
-      os << "<tr><td>" << tr.atNs << "</td><td>" << tr.rule << "</td><td>"
-         << alertStateName(tr.from) << " &rarr; " << tr.to << "</td><td>"
-         << disp(tr.value) << "</td></tr>\n";
+      os << "<tr><td>" << tr.atNs << "</td><td>" << htmlEscape(tr.rule)
+         << "</td><td>" << alertStateName(tr.from) << " &rarr; " << tr.to
+         << "</td><td>" << disp(tr.value) << "</td></tr>\n";
     }
     os << "</table>\n";
   }
@@ -323,9 +324,10 @@ std::string renderMonitorHtml(const DashboardInput& in) {
     os << "<h2>health events</h2>\n<table>\n<tr><th>t_ns</th><th>device</th>"
        << "<th>edge</th><th>score</th></tr>\n";
     for (const HealthEvent& ev : in.health->events()) {
-      os << "<tr><td>" << ev.atNs << "</td><td>" << ev.device << "</td><td>"
-         << healthGradeName(ev.from) << " &rarr; " << healthGradeName(ev.to)
-         << "</td><td>" << disp(ev.score) << "</td></tr>\n";
+      os << "<tr><td>" << ev.atNs << "</td><td>" << htmlEscape(ev.device)
+         << "</td><td>" << healthGradeName(ev.from) << " &rarr; "
+         << healthGradeName(ev.to) << "</td><td>" << disp(ev.score)
+         << "</td></tr>\n";
     }
     os << "</table>\n";
   }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <variant>
 
+#include "obs/exporters.hpp"
 #include "obs/json.hpp"
 
 namespace vfpga::obs::monitor {
@@ -218,7 +219,7 @@ std::vector<TimeSeriesStore::RollupBucket> TimeSeriesStore::rollup(
 std::string TimeSeriesStore::renderCsv() const {
   std::ostringstream os;
   os << "t_ns";
-  for (const Series& s : series_) os << "," << s.name;
+  for (const Series& s : series_) os << "," << csvField(s.name);
   os << "\n";
   for (std::size_t i = 0; i < tickTimes_.size(); ++i) {
     os << tickTimes_[i];

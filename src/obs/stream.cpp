@@ -1,6 +1,9 @@
 #include "obs/stream.hpp"
 
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <fstream>
 
 #include "obs/json.hpp"
 
@@ -220,6 +223,118 @@ void StreamExporter::publishSelfMetrics(MetricsRegistry& registry) const {
   for (const std::uint64_t ns : flushDurationsNs()) {
     h.observe(static_cast<double>(ns));
   }
+}
+
+// ------------------------------------------------------------- reader
+
+namespace {
+
+/// A number field as the writer emits it: an integer in [0, max]. Any
+/// other number (negative, fractional, out of range) is damage; casting it
+/// would be undefined.
+std::uint64_t integer(const JsonValue& v, std::string_view field,
+                      std::uint64_t max = ~std::uint64_t{0}) {
+  const double d = v.asNumber();
+  if (d >= 0.0 && d < 0x1p64 && d == std::floor(d) &&
+      static_cast<std::uint64_t>(d) <= max) {
+    return static_cast<std::uint64_t>(d);
+  }
+  throw JsonError('"' + std::string(field) + "\" is not an integer in [0, " +
+                  std::to_string(max) + "]: " + formatDouble(d));
+}
+
+std::uint64_t integerAt(const JsonValue& record, const char* field,
+                        std::uint64_t max = ~std::uint64_t{0}) {
+  return integer(record.at(field), field, max);
+}
+
+void readAttributes(const JsonValue& record, AttrList& out) {
+  if (!record.has("attributes")) return;
+  for (const auto& [k, val] : record.at("attributes").asObject()) {
+    out.emplace_back(k, val.asString());
+  }
+}
+
+void readRecord(const JsonValue& v, CapturedStream& out) {
+  const std::string& kind = v.at("kind").asString();
+  if (kind == "span") {
+    SpanRecord s;
+    s.name = v.at("name").asString();
+    s.category = v.at("category").asString();
+    s.startNs = integerAt(v, "start_ns");
+    s.durationNs = integerAt(v, "duration_ns");
+    s.track = static_cast<std::uint32_t>(integerAt(v, "track", UINT32_MAX));
+    s.spanId = integerAt(v, "span_id");
+    if (v.has("links")) {
+      for (const JsonValue& l : v.at("links").asArray()) {
+        s.links.push_back(integer(l, "links"));
+      }
+    }
+    readAttributes(v, s.attributes);
+    out.tracers[v.at("domain").asString()].import(std::move(s));
+  } else if (kind == "instant") {
+    InstantRecord i;
+    i.name = v.at("name").asString();
+    i.category = v.at("category").asString();
+    i.atNs = integerAt(v, "at_ns");
+    i.track = static_cast<std::uint32_t>(integerAt(v, "track", UINT32_MAX));
+    readAttributes(v, i.attributes);
+    out.tracers[v.at("domain").asString()].import(std::move(i));
+  } else if (kind == "trace") {
+    const std::string& name = v.at("trace_kind").asString();
+    const std::optional<TraceKind> traceKind = traceKindByName(name);
+    if (!traceKind) throw JsonError("unknown trace_kind '" + name + "'");
+    const std::uint64_t at = integerAt(v, "at_ns");
+    out.traces.try_emplace(v.at("domain").asString(), std::size_t{1} << 20)
+        .first->second.record(at, *traceKind, v.at("detail").asString());
+  } else if (kind == "stream_summary") {
+    ++out.summaries;
+  } else {
+    throw JsonError("unknown record kind '" + kind + "'");
+  }
+}
+
+}  // namespace
+
+CapturedStream loadStream(const std::string& path) {
+  CapturedStream out;
+  std::ifstream in(path);
+  if (!in) {
+    out.error = "cannot open stream " + path;
+    return out;
+  }
+  std::string text;
+  std::uint64_t lineNo = 0;
+  while (std::getline(in, text)) {
+    ++lineNo;
+    if (text.empty()) continue;
+    try {
+      readRecord(JsonValue::parse(text), out);
+    } catch (const JsonError& e) {
+      out.error = path + ":" + std::to_string(lineNo) +
+                  ": truncated or invalid stream record: " + e.what();
+      return out;
+    }
+    ++out.records;
+  }
+  return out;
+}
+
+ChromeTraceInput capturedInput(const CapturedStream& cap) {
+  ChromeTraceInput input;
+  const auto flow = cap.tracers.find("flow");
+  if (flow != cap.tracers.end()) input.wall = &flow->second;
+  for (const auto& [domain, tracer] : cap.tracers) {
+    if (domain == "flow") continue;
+    const auto t = cap.traces.find(domain);
+    input.sim.push_back(
+        {domain, &tracer, t == cap.traces.end() ? nullptr : &t->second});
+  }
+  for (const auto& [domain, trace] : cap.traces) {
+    if (domain == "flow" || cap.tracers.count(domain) != 0) continue;
+    input.sim.push_back({domain, nullptr, &trace});
+  }
+  return input;
 }
 
 }  // namespace vfpga::obs

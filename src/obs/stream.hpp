@@ -24,6 +24,8 @@
 //   {"kind":"trace","domain":D,"at_ns":T,"trace_kind":TK,"detail":S}
 //   {"kind":"stream_summary","emitted":..,"written":..,"dropped":..,...}
 // `links`/`attributes` are omitted when empty.
+// loadStream() is the matching reader; it rejects every line the writer
+// could not have produced.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +36,10 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/exporters.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/span_tracer.hpp"
+#include "sim/trace.hpp"
 
 namespace vfpga::obs {
 
@@ -127,5 +131,28 @@ class StreamExporter {
   std::map<std::string, std::uint64_t> seenByKey_;
   std::vector<std::uint64_t> flushNs_;  ///< wall-clock ns per flush
 };
+
+/// A captured NDJSON stream rebuilt into per-domain tracers and Trace
+/// rings; "flow" maps back to the wall-clock process, every other domain
+/// to a simulated process.
+struct CapturedStream {
+  std::map<std::string, SpanTracer> tracers;
+  std::map<std::string, Trace> traces;
+  std::uint64_t records = 0;
+  std::uint64_t summaries = 0;
+  /// Why loading stopped ("" when every line parsed): "cannot open stream
+  /// <path>" or "<path>:<line>: truncated or invalid stream record: ...".
+  std::string error;
+
+  bool ok() const { return error.empty(); }
+};
+
+/// Parses a captured stream strictly: every non-empty line must be a whole
+/// record of a known kind, numbers integers in their field's range, and
+/// trace_kind a TraceKind name; the first damaged line sets `error`.
+CapturedStream loadStream(const std::string& path);
+
+/// View over a CapturedStream in renderChromeTrace/renderTimelineCsv form.
+ChromeTraceInput capturedInput(const CapturedStream& cap);
 
 }  // namespace vfpga::obs

@@ -36,6 +36,14 @@ const char* traceKindName(TraceKind k) {
   return "unknown";
 }
 
+std::optional<TraceKind> traceKindByName(std::string_view name) {
+  for (std::size_t k = 0; k < kTraceKindCount; ++k) {
+    const auto kind = static_cast<TraceKind>(k);
+    if (name == traceKindName(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 void Trace::record(SimTime at, TraceKind kind, std::string detail) {
   ++counts_[static_cast<std::size_t>(kind)];
   if (recordSink_) recordSink_(TraceRecord{at, kind, detail});

@@ -8,7 +8,9 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -50,6 +52,9 @@ inline constexpr std::size_t kTraceKindCount =
 
 /// Human-readable name of a trace kind (stable; used in golden tests).
 const char* traceKindName(TraceKind k);
+
+/// The kind traceKindName() spells `name`; nullopt for any other string.
+std::optional<TraceKind> traceKindByName(std::string_view name);
 
 /// Callback managers without a Trace reference emit through; the kernel
 /// binds it to its Trace ring (stamping the current simulated time).

@@ -215,6 +215,33 @@ TEST(CheckpointFormat, InnerStateCrcGuardsRegisterRot) {
   EXPECT_FALSE(r.stateCrcOk);   // ...but the snapshot's own CRC catches it
 }
 
+/// Regression: every element count in the payload is checked against the
+/// bytes left before anything is allocated. A register count of 0xffffffff
+/// used to wrap its 32-bit byte count to 0 and unpack far past the buffer.
+TEST(CheckpointFormat, HugeCountsAreRejected) {
+  fault::TaskCheckpoint ck;
+  ck.task = "t";
+  const auto bytes = fault::encodeCheckpoint(ck, 1);
+  // Payload layout with no device/ops/registers: task(4+1) priority(8)
+  // device(4) placement(2+2), then opCount@21, register bits@25, state
+  // CRC@29, overlay/segment/page id counts@31/35/39, bindings@43.
+  ASSERT_EQ(bytes.size(), kHeader + 47 + 2);
+  ASSERT_TRUE(fault::decodeCheckpoint(bytes).ok);
+  for (const std::size_t field : {21u, 25u, 31u, 35u, 39u, 43u}) {
+    auto forged = bytes;
+    for (std::size_t b = 0; b < 4; ++b) forged[kHeader + field + b] = 0xff;
+    const std::uint16_t crc =
+        refCrc16(forged.data() + kHeader, forged.size() - kHeader - 2);
+    forged[forged.size() - 2] = static_cast<std::uint8_t>(crc & 0xff);
+    forged[forged.size() - 1] = static_cast<std::uint8_t>(crc >> 8);
+    const fault::DecodeResult r = fault::decodeCheckpoint(forged);
+    EXPECT_FALSE(r.ok) << "count at payload byte " << field;
+    EXPECT_TRUE(r.payloadCrcOk) << "count at payload byte " << field;
+    EXPECT_EQ(r.diagnostic, "payload truncated")
+        << "count at payload byte " << field;
+  }
+}
+
 // ---- double-buffered store -------------------------------------------------
 
 TEST(CheckpointStore, FallsBackPastRottenNewestGeneration) {

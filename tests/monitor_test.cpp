@@ -236,6 +236,48 @@ TEST(Dashboard, JsonEscapesControlCharactersInNames) {
             r.series);
 }
 
+/// Names holding HTML or CSV syntax reach the page escaped and the CSV
+/// header quoted; before, a `<` in a rule or device name became markup.
+TEST(Dashboard, HtmlEscapesNamesAndCsvQuotesSeries) {
+  AlertRule r;
+  r.name = "<b>hot</b> & \"x\"";
+  r.series = "sig,\"a\"<i>";
+  r.kind = RuleKind::kThreshold;
+  r.threshold = 5.0;
+  Harness h(r);
+  h.tick(10.0);  // one transition: the rule lands in the table and the SVG
+
+  HealthModel health;
+  HealthCounters c;
+  health.update("dev<1>&", 0, c);
+  c.parkedTasks = 2;
+  health.update("dev<1>&", 100, c);
+  ASSERT_FALSE(health.events().empty());
+
+  obs::monitor::DashboardInput in;
+  in.store = &h.store;
+  in.engine = &h.engine;
+  in.health = &health;
+  in.title = "<script>t</script>";
+  in.atNs = h.t;
+  const std::string html = obs::monitor::renderMonitorHtml(in);
+  for (const char* raw : {"<b>", "<i>", "<script>", "dev<1>"}) {
+    EXPECT_EQ(html.find(raw), std::string::npos) << raw;
+  }
+  EXPECT_NE(html.find("<title>&lt;script&gt;t&lt;/script&gt;</title>"),
+            std::string::npos);
+  EXPECT_NE(html.find("<tr><td>&lt;b&gt;hot&lt;/b&gt; &amp; &quot;x&quot;"
+                      "</td>"),
+            std::string::npos);
+  EXPECT_NE(html.find("<div class=\"name\">sig,&quot;a&quot;&lt;i&gt;"),
+            std::string::npos);
+  EXPECT_NE(html.find("<td>dev&lt;1&gt;&amp;</td>"), std::string::npos);
+  EXPECT_NE(html.find("\">dev&lt;1&gt;&amp;: "), std::string::npos);
+
+  EXPECT_EQ(h.store.renderCsv().substr(0, h.store.renderCsv().find('\n')),
+            "t_ns,\"sig,\"\"a\"\"<i>\"");
+}
+
 TEST(Dashboard, NonFiniteSamplesAreNullInJsonAndKeptInCsv) {
   TimeSeriesStore store(4);
   double v = std::numeric_limits<double>::infinity();

@@ -184,6 +184,30 @@ TEST(ChromeTrace, ValidatorRejectsPartialOverlap) {
   EXPECT_FALSE(problems.empty());
 }
 
+/// Regression: the validator summed `ts + dur` in double microseconds, so
+/// a span ending exactly where the next one starts could read as a partial
+/// overlap (31277.272 + 1917.784 > 33195.056 in binary floating point).
+TEST(ChromeTrace, BackToBackSpansDoNotOverlapThroughRounding) {
+  obs::SpanTracer sim(obs::SpanTracer::Clock([] { return std::uint64_t{0}; }));
+  sim.complete("s1", "t", 31277272, 1917784, {}, 1);
+  sim.complete("s2", "t", 33195056, 1917784, {}, 1);
+  obs::ChromeTraceInput input;
+  input.sim.push_back({"p", &sim, nullptr});
+  EXPECT_EQ(obs::validateChromeTrace(obs::renderChromeTrace(input)),
+            std::vector<std::string>{});
+
+  // One nanosecond more is a genuine partial overlap.
+  obs::SpanTracer late(
+      obs::SpanTracer::Clock([] { return std::uint64_t{0}; }));
+  late.complete("s1", "t", 31277272, 1917785, {}, 1);
+  late.complete("s2", "t", 33195056, 1917784, {}, 1);
+  obs::ChromeTraceInput overlapping;
+  overlapping.sim.push_back({"p", &late, nullptr});
+  EXPECT_EQ(
+      obs::validateChromeTrace(obs::renderChromeTrace(overlapping)).size(),
+      1u);
+}
+
 TEST(JsonParse, DeepNestingIsRejectedWithADiagnostic) {
   // Unbounded recursion used to overflow the stack on input like this.
   const std::string deep(100000, '[');
@@ -640,6 +664,141 @@ TEST(Heatmap, MatrixGoldenOnScriptedSequence) {
   const std::string html = hm.renderHtml("unit");
   EXPECT_NE(html.find("<html"), std::string::npos);
   EXPECT_NE(html.find("quarantine"), std::string::npos);
+}
+
+/// Names holding CSV or HTML syntax reach every renderer quoted/escaped.
+TEST(Heatmap, EventsAndTitleAreQuotedInCsvAndEscapedInHtml) {
+  obs::HeatmapCollector hm(1);
+  hm.sample(5, "load \"a,b\" <x> & y", {obs::CellState::kBusy});
+  EXPECT_EQ(hm.renderCsv(),
+            "time_ns,event,c0\n"
+            "5,\"load \"\"a,b\"\" <x> & y\",1\n");
+  const std::string html = hm.renderHtml("t<1> & \"q\"");
+  EXPECT_NE(html.find("<title>t&lt;1&gt; &amp; &quot;q&quot;</title>"),
+            std::string::npos);
+  EXPECT_NE(html.find("<h1>t&lt;1&gt; &amp; &quot;q&quot;</h1>"),
+            std::string::npos);
+  EXPECT_NE(html.find("<td>load &quot;a,b&quot; &lt;x&gt; &amp; y</td>"),
+            std::string::npos);
+  EXPECT_EQ(html.find("<x>"), std::string::npos);
+}
+
+TEST(Exporters, CsvQuoterDoublesQuotesAndKeepsPlainNamesBare) {
+  EXPECT_EQ(obs::csvField("plain_name"), "plain_name");
+  EXPECT_EQ(obs::csvField("a,b"), "\"a,b\"");
+  EXPECT_EQ(obs::csvField("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(obs::csvField("two\nlines"), "\"two\nlines\"");
+  EXPECT_EQ(obs::csvField("", true), "\"\"");
+  EXPECT_EQ(obs::htmlEscape("<a href='x'>&\"</a>"),
+            "&lt;a href=&#39;x&#39;&gt;&amp;&quot;&lt;/a&gt;");
+
+  // The metrics labels column stays quoted and now doubles a label's `"`.
+  obs::MetricsRegistry reg;
+  reg.counter("vfpga_q_total", {{"dev", "my\"dev,1"}}).inc(2);
+  EXPECT_NE(obs::renderCsv(reg).find(
+                "vfpga_q_total,\"dev=my\"\"dev,1\",counter,value,2\n"),
+            std::string::npos);
+}
+
+TEST(Exporters, TimelineCsvQuotesProcessCategoryAndName) {
+  obs::SpanTracer sim(obs::SpanTracer::Clock([] { return std::uint64_t{0}; }));
+  sim.complete("load \"a\"", "os,cfg", 10, 5, {}, 2);
+  obs::ChromeTraceInput input;
+  input.sim.push_back({"os/x,y", &sim, nullptr});
+  EXPECT_EQ(obs::renderTimelineCsv(input),
+            "process,type,track,category,name,start_ns,duration_ns\n"
+            "\"os/x,y\",span,2,\"os,cfg\",\"load \"\"a\"\"\",10,5\n");
+}
+
+/// Writes `text` to a scratch stream file and loads it back.
+obs::CapturedStream loadStreamText(const std::string& name,
+                                   const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path) << text;
+  return obs::loadStream(path);
+}
+
+TEST(StreamReader, ReplaysEveryRecordKindTheWriterEmits) {
+  const std::string path = ::testing::TempDir() + "/stream_replay.ndjson";
+  {
+    obs::StreamOptions opt;
+    opt.path = path;
+    obs::StreamExporter stream(opt);
+    obs::SpanTracer tracer = steppedTracer(10);
+    stream.attach(tracer, "os/x");
+    tracer.complete("download/a", "os.config", 100, 50, {{"k", "v"}}, 3);
+    tracer.instant("gc", "os.gc", {}, 4);
+    stream.onTrace(7, traceKindName(TraceKind::kPageFault), "p3", "os/x");
+  }
+  const obs::CapturedStream cap = obs::loadStream(path);
+  ASSERT_TRUE(cap.ok()) << cap.error;
+  EXPECT_EQ(cap.records, 4u);  // span, instant, trace, stream_summary
+  EXPECT_EQ(cap.summaries, 1u);
+  const obs::SpanTracer& t = cap.tracers.at("os/x");
+  ASSERT_EQ(t.spans().size(), 1u);
+  EXPECT_EQ(t.spans()[0].startNs, 100u);
+  EXPECT_EQ(t.spans()[0].durationNs, 50u);
+  EXPECT_EQ(t.spans()[0].track, 3u);
+  ASSERT_EQ(t.instants().size(), 1u);
+  EXPECT_EQ(t.instants()[0].track, 4u);
+  const Trace& trace = cap.traces.at("os/x");
+  ASSERT_EQ(trace.records().size(), 1u);
+  EXPECT_EQ(trace.records()[0].kind, TraceKind::kPageFault);
+  EXPECT_EQ(trace.records()[0].at, 7u);
+
+  const obs::ChromeTraceInput input = obs::capturedInput(cap);
+  EXPECT_EQ(input.wall, nullptr);
+  ASSERT_EQ(input.sim.size(), 1u);
+  EXPECT_EQ(input.sim[0].name, "os/x");
+}
+
+/// Regression: numbers went through an unchecked double -> integer cast, so
+/// -5 became start 18446744073709551611 and 1e12 became track 3567587328,
+/// and an unknown trace_kind silently became `info`.
+TEST(StreamReader, RejectsNumbersTheWriterCannotEmitWithFileAndLine) {
+  const std::string ok =
+      "{\"kind\":\"span\",\"domain\":\"d\",\"name\":\"s\","
+      "\"category\":\"c\",\"span_id\":1,\"start_ns\":0,"
+      "\"duration_ns\":5,\"track\":1}\n";
+  struct Case {
+    const char* record;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"{\"kind\":\"span\",\"domain\":\"d\",\"name\":\"s\",\"category\":"
+       "\"c\",\"span_id\":2,\"start_ns\":-5,\"duration_ns\":1,\"track\":1}",
+       "\"start_ns\" is not an integer"},
+      {"{\"kind\":\"span\",\"domain\":\"d\",\"name\":\"s\",\"category\":"
+       "\"c\",\"span_id\":2,\"start_ns\":0,\"duration_ns\":1e300,"
+       "\"track\":1}",
+       "\"duration_ns\" is not an integer"},
+      {"{\"kind\":\"span\",\"domain\":\"d\",\"name\":\"s\",\"category\":"
+       "\"c\",\"span_id\":2,\"start_ns\":0,\"duration_ns\":1,\"track\":1e12}",
+       "\"track\" is not an integer in [0, 4294967295]"},
+      {"{\"kind\":\"span\",\"domain\":\"d\",\"name\":\"s\",\"category\":"
+       "\"c\",\"span_id\":2,\"start_ns\":0,\"duration_ns\":1,\"track\":1,"
+       "\"links\":[0.5]}",
+       "\"links\" is not an integer"},
+      {"{\"kind\":\"instant\",\"domain\":\"d\",\"name\":\"i\","
+       "\"category\":\"c\",\"at_ns\":2.5,\"track\":1}",
+       "\"at_ns\" is not an integer"},
+      {"{\"kind\":\"trace\",\"domain\":\"d\",\"at_ns\":9,"
+       "\"trace_kind\":\"config_dowload\",\"detail\":\"\"}",
+       "unknown trace_kind 'config_dowload'"},
+  };
+  int n = 0;
+  for (const Case& c : cases) {
+    const std::string name = "bad_" + std::to_string(n++) + ".ndjson";
+    const obs::CapturedStream cap =
+        loadStreamText(name, ok + c.record + "\n");
+    EXPECT_FALSE(cap.ok()) << c.record;
+    EXPECT_NE(cap.error.find(name + ":2: truncated or invalid stream record"),
+              std::string::npos)
+        << cap.error;
+    EXPECT_NE(cap.error.find(c.expect), std::string::npos) << cap.error;
+  }
+  EXPECT_EQ(obs::loadStream(::testing::TempDir() + "/no_such.ndjson").error,
+            "cannot open stream " + ::testing::TempDir() + "/no_such.ndjson");
 }
 
 TEST(Heatmap, PartitionManagerObserverSnapshotsAllocatorState) {

@@ -93,6 +93,26 @@ TEST(BitstreamSerialization, DetectsEveryKindOfDamage) {
   EXPECT_NO_THROW(deserializeBitstream(bytes));
 }
 
+/// Regression: a frame count the file cannot hold is truncation, found
+/// before anything is allocated. A 15-byte header claiming 0xffffffff
+/// frames of 64 bits used to reserve 128 GiB and throw std::bad_alloc.
+TEST(BitstreamSerialization, ImpossibleFrameCountIsTruncation) {
+  Bitstream bs = sampleBitstream(64, 2, 5);
+  const auto bytes = serializeBitstream(bs);
+  // Header: magic(4) version(2) frameBits(4) full(1), frame count at 11.
+  for (const std::size_t keep : {std::size_t{15}, bytes.size()}) {
+    std::vector<std::uint8_t> forged(bytes.begin(),
+                                     bytes.begin() + static_cast<long>(keep));
+    for (std::size_t b = 11; b < 15; ++b) forged[b] = 0xff;
+    try {
+      deserializeBitstream(forged);
+      ADD_FAILURE() << "forged frame count accepted (" << keep << " bytes)";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "truncated bitstream file");
+    }
+  }
+}
+
 TEST(BitstreamSerialization, CompiledCircuitRoundTripsThroughBytes) {
   // The realistic path: compile, serialize the partial bitstream "to
   // disk", load it back and configure a device with it.

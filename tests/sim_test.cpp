@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "sim/bytes.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/hash.hpp"
 #include "sim/parallel.hpp"
@@ -334,6 +338,15 @@ TEST(Trace, ZeroCapacityOnlyCounts) {
   EXPECT_EQ(t.count(TraceKind::kInfo), 1u);
 }
 
+TEST(Trace, KindNamesRoundTripAndUnknownNamesAreRejected) {
+  for (std::size_t k = 0; k < kTraceKindCount; ++k) {
+    const auto kind = static_cast<TraceKind>(k);
+    EXPECT_EQ(traceKindByName(traceKindName(kind)), kind);
+  }
+  EXPECT_EQ(traceKindByName("config_dowload"), std::nullopt);
+  EXPECT_EQ(traceKindByName(""), std::nullopt);
+}
+
 TEST(Trace, ClearResetsEverything) {
   Trace t;
   t.record(1, TraceKind::kInfo, "x");
@@ -384,6 +397,88 @@ TEST(ParallelMap, CollectsInOrder) {
   auto squares = parallelMap<std::size_t>(
       50, [](std::size_t i) { return i * i; });
   for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(squares[i], i * i);
+}
+
+TEST(ByteCodec, FieldsAreLittleEndianAndRoundTrip) {
+  ByteWriter w;
+  w.u8(0xab);
+  w.u16(0x1234);
+  w.u32(0xdeadbeef);
+  w.u64(0x0102030405060708ull);
+  w.str("hi");
+  const std::vector<std::uint8_t> bytes = w.take();
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{
+                       0xab, 0x34, 0x12, 0xef, 0xbe, 0xad, 0xde, 0x08, 0x07,
+                       0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 2, 0, 0, 0, 'h',
+                       'i'}));
+  ByteReader r(bytes);
+  EXPECT_EQ(r.u8(), 0xab);
+  EXPECT_EQ(r.u16(), 0x1234);
+  EXPECT_EQ(r.u32(), 0xdeadbeefu);
+  EXPECT_EQ(r.u64(), 0x0102030405060708ull);
+  EXPECT_EQ(r.str(), "hi");
+  EXPECT_TRUE(r.atEnd());
+}
+
+TEST(ByteCodec, BitsPackLsbFirstWithAZeroPaddedTail) {
+  const std::vector<std::uint8_t> bits{1, 0, 0, 0, 0, 0, 0, 7, 0, 1, 1};
+  ByteWriter w;
+  w.bits(bits, bits.size());
+  // Entries past the container's end pack as clear.
+  w.bits(std::vector<bool>{true}, 9);
+  const std::vector<std::uint8_t> bytes = w.take();
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0x81, 0x06, 0x01, 0x00}));
+  ByteReader r(bytes);
+  std::vector<std::uint8_t> back;
+  r.bits(back, bits.size());
+  EXPECT_EQ(back, (std::vector<std::uint8_t>{1, 0, 0, 0, 0, 0, 0, 1, 0, 1,
+                                             1}));
+  std::vector<bool> flags;
+  r.bits(flags, 9);
+  EXPECT_EQ(flags, std::vector<bool>({true, false, false, false, false, false,
+                                      false, false, false}));
+  EXPECT_TRUE(r.atEnd());
+}
+
+TEST(ByteCodec, OverrunPoisonsTheReaderForGood) {
+  const std::vector<std::uint8_t> bytes{1, 2, 3};
+  ByteReader r(bytes);
+  EXPECT_EQ(r.u16(), 0x0201);
+  EXPECT_EQ(r.u32(), 0u);  // only one byte left
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.u8(), 0u);   // poisoned: the byte that is left stays unread
+  EXPECT_TRUE(r.raw(0).empty());
+  EXPECT_FALSE(r.atEnd());
+
+  // A string whose length runs past the end is empty, not a wild read.
+  const std::vector<std::uint8_t> longString{0xff, 0xff, 0xff, 0xff, 'x'};
+  ByteReader s(longString);
+  EXPECT_EQ(s.str(), "");
+  EXPECT_FALSE(s.ok());
+}
+
+TEST(ByteCodec, CountedReadsRejectCountsTheBytesCannotHold) {
+  ByteWriter w;
+  w.u32(2);
+  w.u32(7);
+  w.u32(9);
+  const std::vector<std::uint8_t> exact = w.take();
+  ByteReader ok(exact);
+  EXPECT_EQ(ok.count(4), 2u);
+  EXPECT_TRUE(ok.ok());
+
+  ByteReader tooMany(exact);
+  EXPECT_EQ(tooMany.count(5), 0u);  // 2 x 5 bytes > 8 left
+  EXPECT_FALSE(tooMany.ok());
+
+  // 0xffffffff bits would wrap a 32-bit byte count to 0; the size_t
+  // arithmetic sees 512 MiB and refuses before resizing anything.
+  const std::vector<std::uint8_t> one{0};
+  ByteReader bits(one);
+  std::vector<bool> out;
+  bits.bits(out, 0xffffffffu);
+  EXPECT_FALSE(bits.ok());
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

@@ -374,50 +374,6 @@ int simulateCmd(const Args& a) {
   return 0;
 }
 
-std::string csvField(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string quoted = "\"";
-  for (char c : s) {
-    if (c == '"') quoted += '"';
-    quoted += c;
-  }
-  quoted += '"';
-  return quoted;
-}
-
-/// CSV sibling of the Chrome export: spans, instants and Trace records of
-/// every process as flat rows.
-std::string renderTimelineCsv(const obs::ChromeTraceInput& input) {
-  std::string out = "process,type,track,category,name,start_ns,duration_ns\n";
-  auto row = [&out](const std::string& proc, const char* type,
-                    std::uint32_t track, const std::string& category,
-                    const std::string& name, std::uint64_t start,
-                    std::uint64_t dur) {
-    out += csvField(proc) + ',' + type + ',' + std::to_string(track) + ',' +
-           csvField(category) + ',' + csvField(name) + ',' +
-           std::to_string(start) + ',' + std::to_string(dur) + '\n';
-  };
-  auto addTracer = [&row](const std::string& proc, const obs::SpanTracer* t) {
-    if (t == nullptr) return;
-    for (const obs::SpanRecord& s : t->spans()) {
-      row(proc, "span", s.track, s.category, s.name, s.startNs, s.durationNs);
-    }
-    for (const obs::InstantRecord& i : t->instants()) {
-      row(proc, "instant", i.track, i.category, i.name, i.atNs, 0);
-    }
-  };
-  addTracer("flow", input.wall);
-  for (const obs::SimProcessTrace& p : input.sim) {
-    addTracer(p.name, p.spans);
-    if (p.trace != nullptr) {
-      for (const TraceRecord& r : p.trace->records()) {
-        row(p.name, "trace", 0, "os.trace", traceKindName(r.kind), r.at, 0);
-      }
-    }
-  }
-  return out;
-}
-
 /// Shared --stream* flags -> exporter options ("-" streams to stdout).
 obs::StreamOptions streamOptions(const Args& a) {
   obs::StreamOptions o;
@@ -473,119 +429,6 @@ void reportStreamTotals(const obs::StreamExporter& stream, const char* cmd) {
     std::fprintf(stderr, "%s: stream dropped %llu x %s\n", cmd, ull(n),
                  key.c_str());
   }
-}
-
-TraceKind traceKindByName(std::string_view name) {
-  for (std::size_t k = 0; k < kTraceKindCount; ++k) {
-    const auto kind = static_cast<TraceKind>(k);
-    if (name == traceKindName(kind)) return kind;
-  }
-  return TraceKind::kInfo;
-}
-
-/// A captured NDJSON stream rebuilt into per-domain tracers and Trace
-/// rings; "flow" maps back to the wall-clock process, every other domain
-/// to a simulated process.
-struct CapturedStream {
-  std::map<std::string, obs::SpanTracer> tracers;
-  std::map<std::string, Trace> traces;
-  std::uint64_t records = 0;
-  std::uint64_t summaries = 0;
-};
-
-std::uint64_t asU64(const obs::JsonValue& v) {
-  return static_cast<std::uint64_t>(v.asNumber());
-}
-
-/// Parses a captured stream strictly: every line must be a complete JSON
-/// record of a known kind. A truncated tail (killed writer, partial
-/// flush) is an error — returns 3 with a file:line diagnostic; 0 on
-/// success.
-int loadStream(const std::string& path, CapturedStream& out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open stream %s\n", path.c_str());
-    return 3;
-  }
-  std::string text;
-  std::uint64_t lineNo = 0;
-  while (std::getline(in, text)) {
-    ++lineNo;
-    if (text.empty()) continue;
-    try {
-      const obs::JsonValue v = obs::JsonValue::parse(text);
-      const std::string& kind = v.at("kind").asString();
-      if (kind == "span") {
-        obs::SpanRecord s;
-        s.name = v.at("name").asString();
-        s.category = v.at("category").asString();
-        s.startNs = asU64(v.at("start_ns"));
-        s.durationNs = asU64(v.at("duration_ns"));
-        s.track = static_cast<std::uint32_t>(asU64(v.at("track")));
-        s.spanId = asU64(v.at("span_id"));
-        if (v.has("links")) {
-          for (const obs::JsonValue& l : v.at("links").asArray()) {
-            s.links.push_back(asU64(l));
-          }
-        }
-        if (v.has("attributes")) {
-          for (const auto& [k, val] : v.at("attributes").asObject()) {
-            s.attributes.emplace_back(k, val.asString());
-          }
-        }
-        out.tracers[v.at("domain").asString()].import(std::move(s));
-      } else if (kind == "instant") {
-        obs::InstantRecord i;
-        i.name = v.at("name").asString();
-        i.category = v.at("category").asString();
-        i.atNs = asU64(v.at("at_ns"));
-        i.track = static_cast<std::uint32_t>(asU64(v.at("track")));
-        if (v.has("attributes")) {
-          for (const auto& [k, val] : v.at("attributes").asObject()) {
-            i.attributes.emplace_back(k, val.asString());
-          }
-        }
-        out.tracers[v.at("domain").asString()].import(std::move(i));
-      } else if (kind == "trace") {
-        const std::string& domain = v.at("domain").asString();
-        auto [it, inserted] =
-            out.traces.try_emplace(domain, std::size_t{1} << 20);
-        (void)inserted;
-        it->second.record(asU64(v.at("at_ns")),
-                          traceKindByName(v.at("trace_kind").asString()),
-                          v.at("detail").asString());
-      } else if (kind == "stream_summary") {
-        ++out.summaries;
-      } else {
-        throw obs::JsonError("unknown record kind '" + kind + "'");
-      }
-    } catch (const obs::JsonError& e) {
-      std::fprintf(stderr,
-                   "error: %s:%llu: truncated or invalid stream record: %s\n",
-                   path.c_str(), ull(lineNo), e.what());
-      return 3;
-    }
-    ++out.records;
-  }
-  return 0;
-}
-
-/// View over a CapturedStream in renderChromeTrace/renderTimelineCsv form.
-obs::ChromeTraceInput capturedInput(const CapturedStream& cap) {
-  obs::ChromeTraceInput input;
-  const auto flow = cap.tracers.find("flow");
-  if (flow != cap.tracers.end()) input.wall = &flow->second;
-  for (const auto& [domain, tracer] : cap.tracers) {
-    if (domain == "flow") continue;
-    const auto t = cap.traces.find(domain);
-    input.sim.push_back(
-        {domain, &tracer, t == cap.traces.end() ? nullptr : &t->second});
-  }
-  for (const auto& [domain, trace] : cap.traces) {
-    if (domain == "flow" || cap.tracers.count(domain) != 0) continue;
-    input.sim.push_back({domain, nullptr, &trace});
-  }
-  return input;
 }
 
 int validateChromeOrFail(const std::string& chrome) {
@@ -730,21 +573,24 @@ int traceCmd(const Args& a) {
   // Replay path: re-render (and optionally validate) a captured NDJSON
   // stream instead of running a workload.
   if (a.has("from")) {
-    CapturedStream cap;
-    const int rc = loadStream(a.get("from"), cap);
-    if (rc != 0) return rc;
+    const obs::CapturedStream cap = obs::loadStream(a.get("from"));
+    if (!cap.ok()) {
+      std::fprintf(stderr, "error: %s\n", cap.error.c_str());
+      return 3;
+    }
     std::fprintf(stderr,
                  "trace: replayed %llu stream records across %zu domains"
                  " (%llu summaries)\n",
                  ull(cap.records), cap.tracers.size() + cap.traces.size(),
                  ull(cap.summaries));
-    const obs::ChromeTraceInput input = capturedInput(cap);
+    const obs::ChromeTraceInput input = obs::capturedInput(cap);
     const std::string chrome = obs::renderChromeTrace(input);
     if (a.has("validate")) {
       const int vrc = validateChromeOrFail(chrome);
       if (vrc != 0) return vrc;
     }
-    return emitPayload(a, fmt == "chrome" ? chrome : renderTimelineCsv(input));
+    return emitPayload(a, fmt == "chrome" ? chrome
+                                        : obs::renderTimelineCsv(input));
   }
 
   AppCircuit circuit = loadCircuit(a);
@@ -819,7 +665,8 @@ int traceCmd(const Args& a) {
     const int vrc = validateChromeOrFail(chrome);
     if (vrc != 0) return vrc;
   }
-  return emitPayload(a, fmt == "chrome" ? chrome : renderTimelineCsv(input));
+  return emitPayload(a, fmt == "chrome" ? chrome
+                                        : obs::renderTimelineCsv(input));
 }
 
 /// Runs a six-technique workload and exposes every metric it collected;
@@ -1579,13 +1426,10 @@ int chaosCmd(const Args& a) {
 
   DeviceProfile p = profileByName(a.get("device", "medium_partial"));
   const Region strip = Region::columns(p.geometry, 0, 4);
-  // The serialized header in front of the payload: "VFCK" magic (4) +
-  // u16 version + u64 generation + u32 payloadLen.
-  constexpr std::size_t kHeader = 18;
   auto readFile = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
-    return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
   };
 
   // ---- phase A part 1: run to the kill point, then die without finalize.
@@ -1630,8 +1474,8 @@ int chaosCmd(const Args& a) {
       // back (or, when it was the only slot, park with a diagnostic).
       const auto slot = static_cast<unsigned>(lr.generation & 1);
       const std::string path = store.slotPaths(task)[slot];
-      std::vector<char> bytes = readFile(path);
-      if (bytes.size() < kHeader + 4) continue;
+      std::string bytes = readFile(path);
+      if (bytes.size() < fault::kCheckpointHeaderBytes + 4) continue;
       // Cycle the corruption class (seeded positions within it) so every
       // run exercises truncation, bit rot, stale generations AND a clean
       // untampered restore.
@@ -1641,19 +1485,19 @@ int chaosCmd(const Args& a) {
           ++tamperTruncated;
           break;
         case 1: {  // bit rot in the payload (or its trailing CRC)
+          const std::size_t payload = fault::kCheckpointHeaderBytes;
           const std::size_t idx =
-              kHeader + static_cast<std::size_t>(
-                            rng.below(bytes.size() - kHeader));
+              payload +
+              static_cast<std::size_t>(rng.below(bytes.size() - payload));
           bytes[idx] = static_cast<char>(bytes[idx] ^
                                          (1 << rng.below(8)));
           ++tamperRotten;
           break;
         }
         case 2: {  // stale generation: re-stamp the header out of parity
-          const std::uint64_t forged = lr.generation + 1;
-          for (int b = 0; b < 8; ++b) {
-            bytes[6 + b] = static_cast<char>((forged >> (8 * b)) & 0xff);
-          }
+          const std::vector<std::uint8_t> forged =
+              fault::encodeCheckpoint(lr.checkpoint, lr.generation + 1);
+          bytes.assign(forged.begin(), forged.end());
           ++tamperStale;
           break;
         }
@@ -1661,7 +1505,7 @@ int chaosCmd(const Args& a) {
           ++leftIntact;
           continue;
       }
-      if (!writeFile(path, {bytes.data(), bytes.size()})) return 3;
+      if (!writeFile(path, bytes)) return 3;
     }
   }
   const std::uint64_t tampered =
@@ -1777,9 +1621,10 @@ int chaosCmd(const Args& a) {
     store.write(ck);
     const auto w2 = store.write(ck);
     {  // rot the newest generation: the load below must fall back
-      std::vector<char> bytes = readFile(w2.path);
-      bytes[kHeader + (bytes.size() - kHeader) / 2] ^= 0x40;
-      if (!writeFile(w2.path, {bytes.data(), bytes.size()})) return 3;
+      std::string bytes = readFile(w2.path);
+      const std::size_t payload = fault::kCheckpointHeaderBytes;
+      bytes[payload + (bytes.size() - payload) / 2] ^= 0x40;
+      if (!writeFile(w2.path, bytes)) return 3;
     }
     const auto lr = store.load("bitexact");
     bitFellBack = lr.ok && lr.fellBack;
